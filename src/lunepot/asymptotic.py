@@ -30,7 +30,9 @@ import numpy as np
 from ._backend import angular_primitive_core, im_li2_path
 from .closed_form import (
     _first_case_parts,
+    _log1p_minus_x,
     _second_case_parts,
+    _wedge_branch_value_array,
     lune_potential,
     wedge_branch_value,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "band_angle_series",
     "lune_potential_stable",
     "profile_value",
+    "profile_values",
     "band_profile",
 ]
 
@@ -204,7 +207,7 @@ def _stable_wedge(a: float, e: float) -> float:
     if a <= 1.0:
         return ht
     x = a - 1.0
-    return ht - 0.25 * x - 0.125 * x * x + 0.25 * math.log1p(x)
+    return ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x
 
 
 def lune_potential_stable(
@@ -247,6 +250,16 @@ def profile_value(a: float, eps: float) -> float:
     return -_stable_wedge(a, eps)
 
 
+def profile_values(a: np.ndarray, eps: float) -> np.ndarray:
+    """``profile_value`` over an array of band centre distances: one array
+    evaluation above the dispatch threshold, the series point by point at
+    or below it."""
+    a = np.asarray(a, dtype=float)
+    if eps > DISPATCH_THRESHOLD:
+        return _wedge_branch_value_array(a, eps)
+    return np.array([profile_value(x, eps) for x in a.tolist()])
+
+
 def band_profile(eps: float, grid_n: int):
     """Branch-value profile scaled by eps^2*log(eps^2) on a uniform band
     grid, plus the asymmetry index.
@@ -263,10 +276,6 @@ def band_profile(eps: float, grid_n: int):
         raise DomainError(f"disc radius must lie in (0, 1), got {eps}")
     lams = np.linspace(0.0, 1.0, grid_n)
     scale = eps * eps * math.log(eps * eps)
-    vals = np.empty(grid_n)
-    for i, lam in enumerate(lams):
-        a = 1.0 - (1.0 - 2.0 * lam) * eps
-        vals[i] = profile_value(a, eps)
-    scaled = vals / scale
+    scaled = profile_values(1.0 - (1.0 - 2.0 * lams) * eps, eps) / scale
     eta = float(np.max(np.abs(scaled - scaled[::-1])))
     return lams, scaled, eta

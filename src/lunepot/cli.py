@@ -17,13 +17,22 @@ import numpy as np
 
 from . import checks as _checks
 from ._backend import backend_name
-from .asymptotic import BandPoint, band_profile, from_band, lune_potential_stable, profile_value
-from .closed_form import lune_potential
+from .asymptotic import (
+    DISPATCH_THRESHOLD,
+    BandPoint,
+    band_profile,
+    from_band,
+    lune_potential_stable,
+    profile_value,
+    profile_values,
+)
+from .closed_form import lune_potential, lune_potential_array
 from .errors import DomainError
-from .geometry import OverlapQuery, classify_regime
+from .geometry import REGIMES, OverlapQuery, classify_regime, classify_regimes
 from .quadrature import MIN_TOL, quad_lune
 
 MODES = ("exact", "stable", "asymptotic", "oracle")
+_REGIME_NAMES = np.array([r.value for r in REGIMES])
 
 
 @dataclass(frozen=True)
@@ -77,18 +86,32 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_rows(spec: SweepSpec, grid, scaled: bool, band_profile_scaling: bool):
-    scale = spec.eps * spec.eps * math.log(spec.eps * spec.eps)
-    for a in grid:
-        q = OverlapQuery(float(a), spec.eps)
-        value, _ = _evaluate(q, spec.mode, spec.tol)
-        row = [_fmt(a), _fmt(spec.eps), classify_regime(q).value, _fmt(value)]
-        if scaled:
-            if band_profile_scaling:
-                row.append(_fmt(profile_value(float(a), spec.eps) / scale))
-            else:
-                row.append(_fmt(value / scale))
-        yield ",".join(row)
+def _sweep_values(spec: SweepSpec, grid: np.ndarray, band_profile_scaling: bool):
+    # (values, branch-value profile or None): one array evaluation each
+    # where the mode resolves to the exact closed form, else point by point
+    eps = spec.eps
+    if spec.mode == "exact" or (spec.mode == "stable" and eps > DISPATCH_THRESHOLD):
+        values = lune_potential_array(grid, eps)  # validates eps first
+        return values, profile_values(grid, eps) if band_profile_scaling else None
+    points = grid.tolist()
+    values = np.array([_evaluate(OverlapQuery(a, eps), spec.mode, spec.tol)[0] for a in points])
+    if not band_profile_scaling:
+        return values, None
+    return values, np.array([profile_value(a, eps) for a in points])
+
+
+def _sweep_rows(spec: SweepSpec, grid: np.ndarray, scaled: bool, band_profile_scaling: bool):
+    # one format per row; adding 0.0 turns -0.0 into 0.0, as _fmt does
+    values, profile = _sweep_values(spec, grid, scaled and band_profile_scaling)
+    template = "%.17g," + _fmt(spec.eps) + ",%s,%.17g"
+    regimes = _REGIME_NAMES[classify_regimes(grid, spec.eps)].tolist()
+    columns = [(grid + 0.0).tolist(), regimes, (values + 0.0).tolist()]
+    if scaled:
+        scale = spec.eps * spec.eps * math.log(spec.eps * spec.eps)
+        column = values if profile is None else profile
+        columns.append((column / scale + 0.0).tolist())
+        template += ",%.17g"
+    return [template % row for row in zip(*columns)]
 
 
 def cmd_sweep(args) -> int:
@@ -96,7 +119,8 @@ def cmd_sweep(args) -> int:
         eps=args.eps, a_min=args.a_min, a_max=args.a_max, n=args.n, mode=args.mode, tol=args.tol
     )
     if args.lambda_grid:
-        grid = [from_band(BandPoint(float(l), spec.eps)) for l in np.linspace(0.0, 1.0, spec.n)]
+        # from_band at every point of a uniform band-coordinate grid
+        grid = 1.0 - (1.0 - 2.0 * np.linspace(0.0, 1.0, spec.n)) * spec.eps
     else:
         grid = np.linspace(spec.a_min, spec.a_max, spec.n)
     header = "a,eps,regime,value" + (",scaled" if args.scaled else "")

@@ -19,6 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._backend import chord_radius_core
 from .errors import DomainError, EpsilonRangeWarning
 
@@ -51,14 +53,8 @@ class OverlapQuery:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a >= 0.0):
             raise DomainError(f"centre distance must be finite and >= 0, got {self.a}")
-        if not (math.isfinite(self.eps) and 0.0 < self.eps < 1.0):
-            raise DomainError(f"disc radius must lie in (0, 1), got {self.eps}")
-        if self.eps > 0.5:
-            warnings.warn(
-                f"disc radius {self.eps} is above 1/2; results are untested there",
-                EpsilonRangeWarning,
-                stacklevel=2,
-            )
+        if not (math.isfinite(self.eps) and 0.0 < self.eps <= 0.5):
+            check_radius(self.eps)  # raises or warns; skipped on the common path
 
     @classmethod
     def from_point(cls, point, eps: float) -> "OverlapQuery":
@@ -84,6 +80,19 @@ class IntersectionGeometry:
     v_minus: tuple[float, float]
     phi: float
     alpha: float | None
+
+
+def check_radius(eps: float) -> None:
+    """Reject a disc radius outside (0, 1); warn, at the caller of the
+    function that checks, for one above 1/2."""
+    if not (math.isfinite(eps) and 0.0 < eps < 1.0):
+        raise DomainError(f"disc radius must lie in (0, 1), got {eps}")
+    if eps > 0.5:
+        warnings.warn(
+            f"disc radius {eps} is above 1/2; results are untested there",
+            EpsilonRangeWarning,
+            stacklevel=3,
+        )
 
 
 def newtonian_kernel(r: float) -> float:
@@ -112,6 +121,29 @@ def classify_regime(q: OverlapQuery) -> Regime:
     if a * a < 1.0 + e * e:
         return Regime.OVERLAP_OUTER_NEAR
     return Regime.OVERLAP_OUTER_FAR
+
+
+REGIMES = tuple(Regime)
+
+
+def classify_regimes(a: np.ndarray, eps: float) -> np.ndarray:
+    """``classify_regime`` over an array of centre distances at one radius,
+    with the same boundary conventions: the index in REGIMES of each
+    point's regime."""
+    a = np.asarray(a, dtype=float)
+    e = eps
+    index = REGIMES.index
+    return np.select(
+        [a <= 1.0 - e, a < 1.0, a == 1.0, a >= 1.0 + e, a * a < 1.0 + e * e],
+        [
+            index(Regime.NESTED),
+            index(Regime.OVERLAP_INNER_DISC),
+            index(Regime.OVERLAP_AT_UNIT),
+            index(Regime.OUTSIDE),
+            index(Regime.OVERLAP_OUTER_NEAR),
+        ],
+        index(Regime.OVERLAP_OUTER_FAR),
+    )
 
 
 def _clamped_unit(value: float, what: str) -> float:
@@ -163,6 +195,17 @@ def intersection_angle(q: OverlapQuery) -> float:
     prod = max(lo, 0.0) * (a + 1.0 + e) * max(hi, 0.0) * (1.0 + a - e)
     sin_phi = math.sqrt(prod) / (2.0 * a * e)
     return math.atan2(sin_phi, cos_phi)
+
+
+def intersection_angle_array(a: np.ndarray, eps: float) -> np.ndarray:
+    """``intersection_angle`` over an array of centre distances inside the
+    open overlap band, with the same factored evaluation."""
+    e = eps
+    cos_phi = np.clip((1.0 - a * a - e * e) / (2.0 * a * e), -1.0, 1.0)
+    lo = (a - 1.0) + e
+    hi = (1.0 - a) + e
+    prod = np.maximum(lo, 0.0) * (a + 1.0 + e) * np.maximum(hi, 0.0) * (1.0 + a - e)
+    return np.arctan2(np.sqrt(prod) / (2.0 * a * e), cos_phi)
 
 
 def big_l(theta: float, a: float) -> float:

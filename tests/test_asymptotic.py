@@ -235,6 +235,16 @@ class TestStablePath:
             d = abs(lune_potential_stable(q) - lune_potential(q)) / scale
             assert d <= 1e-6
 
+    @pytest.mark.parametrize("e", [1e-10, 1e-12, 1e-14])
+    def test_beyond_unit_against_mpmath(self, e):
+        # the series route adds log1p(x) - x beyond the unit distance, which
+        # cancels catastrophically when formed as a difference
+        from mp_reference import scaled_error
+
+        for t in (0.1, 0.3, 0.5, 0.7, 0.9):
+            a = 1.0 + t * e
+            assert scaled_error(lune_potential_stable(OverlapQuery(a, e)), a, e) <= 1e-9
+
     def test_finite_on_extreme_grid(self):
         for e in np.logspace(-6, -14, 5):
             for a in np.linspace(1.0 - e, 1.0 + e, 101):

@@ -2,10 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
-from lunepot.cli import main
+from lunepot.asymptotic import lune_potential_stable, profile_value
+from lunepot.cli import _fmt, main
+from lunepot.closed_form import lune_potential
+from lunepot.errors import EpsilonRangeWarning
+from lunepot.geometry import OverlapQuery, classify_regime
+from lunepot.quadrature import quad_lune
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -104,6 +111,115 @@ class TestSweep:
             capsys, "sweep", "--eps", "0.2", "--a-min", "2", "--a-max", "1", "--n", "4"
         )
         assert code == 2
+
+
+def _per_point(mode: str, a: float, eps: float) -> float:
+    q = OverlapQuery(a, eps)
+    if mode == "exact":
+        return lune_potential(q)
+    if mode == "stable":
+        return lune_potential_stable(q)
+    if mode == "asymptotic":
+        return lune_potential_stable(q, threshold=math.inf)
+    return quad_lune(q, 1e-12).value
+
+
+SWEEPS = [
+    ("exact", "0.2", []),
+    ("exact", "1e-3", ["--lambda-grid", "--scaled"]),
+    ("exact", "1e-7", ["--lambda-grid", "--scaled"]),
+    ("stable", "0.2", ["--scaled"]),
+    ("stable", "1e-3", ["--lambda-grid", "--scaled"]),
+    ("stable", "1e-7", []),
+    ("stable", "1e-9", ["--lambda-grid", "--scaled"]),
+    ("asymptotic", "0.01", []),
+    ("asymptotic", "1e-3", ["--lambda-grid", "--scaled"]),
+    ("oracle", "0.3", ["--scaled"]),
+    ("oracle", "0.1", ["--lambda-grid", "--scaled"]),
+]
+
+
+class TestSweepColumns:
+    """The sweep evaluates whole grids at once where the mode resolves to
+    the exact closed form; its rows must match the point-by-point path."""
+
+    @pytest.mark.parametrize("mode,eps,extra", SWEEPS)
+    def test_rows_match_per_point_path(self, capsys, mode, eps, extra):
+        e = float(eps)
+        n = 21 if mode == "oracle" else 81
+        argv = ["sweep", "--eps", eps, "--mode", mode, "--n", str(n), *extra]
+        if "--lambda-grid" not in extra:
+            argv += ["--a-min", repr(max(0.0, 1.0 - 3.0 * e)), "--a-max", repr(1.0 + 3.0 * e)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == n + 1
+        scale = e * e * math.log(e * e)
+        bound = 1e-13 * abs(scale)
+        for line in lines[1:]:
+            fields = line.split(",")
+            a = float(fields[0])
+            q = OverlapQuery(a, e)
+            assert fields[:3] == [_fmt(a), _fmt(e), classify_regime(q).value]
+            value = float(fields[3])
+            want = _per_point(mode, a, e)
+            if mode == "exact" or (mode == "stable" and e > 1e-5):
+                assert abs(value - want) <= bound
+            else:
+                assert fields[3] == _fmt(want)
+            if "--lambda-grid" in extra:
+                assert abs(float(fields[4]) - profile_value(a, e) / scale) <= 1e-13
+            elif "--scaled" in extra:
+                assert fields[4] == _fmt(value / scale)
+
+    def test_negative_zero_normalised(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--eps", "0.5", "--a-min", "-0.0", "--a-max", "0.4", "--n", "3"
+        )
+        assert code == 0
+        assert out.split("\n")[1].split(",")[0] == "0"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--eps", "0.5", "--a-min", "1.5", "--a-max", "2", "--n", "3",
+            "--scaled",
+        )
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            assert line.split(",")[3:] == ["0", "0"]
+
+    @pytest.mark.parametrize("mode", ["exact", "stable", "oracle"])
+    def test_negative_a_min_exit_2(self, capsys, mode):
+        code, _, err = run_cli(
+            capsys, "sweep", "--eps", "0.2", "--a-min", "-0.5", "--a-max", "1", "--n", "11",
+            "--mode", mode,
+        )
+        assert code == 2
+        assert "centre distance" in err
+
+    @pytest.mark.parametrize("eps", ["0", "1.5", "nan"])
+    @pytest.mark.parametrize("mode", ["exact", "stable", "asymptotic"])
+    def test_bad_radius_on_band_grid_exit_2(self, capsys, mode, eps):
+        code, _, err = run_cli(
+            capsys, "sweep", "--eps", eps, "--lambda-grid", "--scaled", "--n", "5", "--mode", mode
+        )
+        assert code == 2
+        assert "error" in err
+
+    def test_large_radius_sweep(self, capsys):
+        # eps = 0.8 reaches a < 1/2, where the wedge takes the Taylor series
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                capsys, "sweep", "--eps", "0.8", "--a-min", "0", "--a-max", "2", "--n", "41"
+            )
+        assert code == 0
+        assert [w.category for w in rec] == [EpsilonRangeWarning]
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert min(float(r[0]) for r in rows if r[2] != "Nested") < 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EpsilonRangeWarning)
+            for r in rows:
+                ref = quad_lune(OverlapQuery(float(r[0]), 0.8), 1e-12).value
+                assert float(r[3]) == pytest.approx(ref, abs=1e-9)
 
 
 class TestValidate:

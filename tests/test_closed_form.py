@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from lunepot.closed_form import (
     wedge_term_via,
 )
 from lunepot.dilog import im_dilog_on_path
-from lunepot.errors import DomainError
+from lunepot.errors import DomainError, EpsilonRangeWarning
 from lunepot.geometry import OverlapQuery, intersection_angle, phi_map
 from lunepot.quadrature import adaptive_quad, quad_cos_log, quad_lune, quad_wedge
 
@@ -280,3 +282,158 @@ class TestDiscPotential:
     def test_domain(self):
         with pytest.raises(DomainError):
             disc_potential(1.5)
+
+
+def _scale(eps: float) -> float:
+    return eps * eps * abs(math.log(eps * eps))
+
+
+def _band(eps: float, n: int = 41) -> np.ndarray:
+    # band points with the unit distance, the crossover and both edges
+    # approached to within 1e-9 half-widths
+    a = 1.0 + eps * np.linspace(-1.0, 1.0, n)[1:-1]
+    extra = [1.0, math.sqrt(1.0 + eps * eps), 1.0 - eps + 1e-9 * eps, 1.0 + eps - 1e-9 * eps]
+    return np.concatenate([a, extra])
+
+
+class TestArrayEvaluation:
+    @given(
+        t=st.floats(min_value=-1.0, max_value=1.0),
+        eps=st.floats(min_value=1e-6, max_value=0.95),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_wedge_array_matches_scalar(self, t, eps):
+        from lunepot.closed_form import (
+            _wedge,
+            _wedge_array,
+            _wedge_branch_value,
+            _wedge_branch_value_array,
+        )
+
+        a = min(max(1.0 + t * eps, 1.0 - eps), 1.0 + eps)
+        bound = 1e-13 * _scale(eps)
+        assert abs(_wedge_array(np.array([a]), eps)[0] - _wedge(a, eps)) <= bound
+        branch = _wedge_branch_value_array(np.array([a]), eps)[0]
+        assert abs(branch - _wedge_branch_value(a, eps)) <= bound
+
+    @pytest.mark.parametrize("eps", [1e-4, 3e-3, 0.1, 0.5, 0.8])
+    def test_potential_array_matches_scalar(self, eps):
+        from lunepot.closed_form import lune_potential_array
+
+        a = np.concatenate([[0.0, 0.5 * (1.0 - eps), 1.0 - eps, 1.0 + eps, 2.0], _band(eps)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EpsilonRangeWarning)
+            got = lune_potential_array(a, eps)
+            want = np.array([lune_potential(OverlapQuery(x, eps)) for x in a.tolist()])
+        assert got.shape == a.shape
+        assert np.array_equal(got[:5], want[:5])  # nested and outside rows
+        assert np.max(np.abs(got - want)) <= 1e-13 * _scale(eps)
+
+    def test_array_domain(self):
+        from lunepot.closed_form import lune_potential_array
+
+        with pytest.raises(DomainError, match="centre distance"):
+            lune_potential_array([0.5, -0.1], 0.2)
+        with pytest.raises(DomainError, match="centre distance"):
+            lune_potential_array([math.nan], 0.2)
+        with pytest.raises(DomainError, match="disc radius"):
+            lune_potential_array([0.5], 1.0)
+
+    def test_array_warns_once(self):
+        from lunepot.closed_form import lune_potential_array
+
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            lune_potential_array(np.linspace(0.0, 2.0, 50), 0.8)
+        assert [w.category for w in rec] == [EpsilonRangeWarning]
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2, 0.1, 0.5])
+    def test_exact_against_mpmath(self, eps):
+        from mp_reference import scaled_error
+
+        from lunepot.closed_form import lune_potential_array
+
+        a = _band(eps, 21)
+        values = lune_potential_array(a, eps)
+        for x, v in zip(a.tolist(), values.tolist()):
+            assert scaled_error(v, x, eps) <= 1e-12
+            assert scaled_error(lune_potential(OverlapQuery(x, eps)), x, eps) <= 1e-12
+
+
+class TestSeriesLengths:
+    # The series on the wedge path have no convergence test: each is cut at
+    # a length chosen from a bound on its argument, and the dilogarithm
+    # series relies on |u| <= 1.72 at every argument it is given.
+    U_MAX = 1.72
+
+    @staticmethod
+    def _band_u(eps: float) -> np.ndarray:
+        a = 1.0 + eps * np.linspace(-1.0, 1.0, 2001)
+        a = a[a >= 0.5]
+        x = a - 1.0
+        c2 = (eps * eps - 1.0 - a * a) / (2.0 * a)
+        prod = (2.0 + x - eps) * (2.0 + x + eps) * (x + eps) * (eps - x)
+        s2 = np.sqrt(np.maximum(prod, 0.0)) / (2.0 * a)
+        return np.abs(np.log1p(x) + 1j * np.arctan2(-s2, -c2))
+
+    def test_band_arguments_in_range(self):
+        for eps in np.geomspace(1e-8, 0.5, 30).tolist() + [0.7, 0.9, 0.999]:
+            assert np.max(self._band_u(eps)) <= self.U_MAX
+
+    def test_turning_arguments_in_range(self):
+        # z = 1 - i*q with q = sqrt(x*(2 + x)) on the near outer branch
+        for eps in np.geomspace(1e-8, 0.5, 30).tolist():
+            x_max = eps * eps / (1.0 + math.sqrt(1.0 + eps * eps))  # x*(2 + x) = eps^2
+            x = x_max * np.linspace(0.0, 1.0, 501)[1:]
+            u = np.abs(np.log1p(x) - 1j * np.arctan(np.sqrt(x * (2.0 + x))))
+            assert np.max(u) <= self.U_MAX
+
+    def test_first_term_beyond_table(self):
+        from lunepot._kernels_py import _LOG_COEF, _log_series_coeffs
+        from lunepot.closed_form import _LI2_EXCESS
+
+        assert len(_LI2_EXCESS.coef) == len(_LOG_COEF) - 1 == 46
+        k = len(_LOG_COEF)
+        # coefficient of u^(k+1) in Li2(w) - w: (B_k - (-1)^k)/(k+1)!
+        beyond = _log_series_coeffs(k)[k] - (-1) ** k / math.factorial(k + 1)
+        assert abs(beyond) * self.U_MAX ** (k + 1) < 1e-17
+        assert _LI2_EXCESS.cuts[-1][0] >= self.U_MAX
+
+    @pytest.mark.parametrize("name", ["_LI2_EXCESS", "_SIN_TAIL", "_LOG1P_TAIL"])
+    def test_cuts_reach_1e_17(self, name):
+        from lunepot import closed_form
+
+        series = getattr(closed_form, name)
+        c0 = abs(series.coef[0])
+        lengths = [n for _, n in series.cuts]
+        assert lengths == sorted(lengths) and lengths[-1] <= len(series.coef)
+        for bound, n in series.cuts:
+            tail = sum(abs(c) * bound**k for k, c in enumerate(series.coef) if k >= n)
+            assert tail <= 1e-17 * c0
+
+    def test_taylor_remainder(self):
+        from lunepot.closed_form import _LI2_TAYLOR
+
+        n = len(_LI2_TAYLOR.coef)
+        assert 2.0 * 0.5 ** (n + 1) / (n + 1) ** 2 < 1e-17
+
+    def test_series_matches_mpmath(self):
+        from lunepot.closed_form import _im_li2_excess
+
+        for u in (0.3 - 0.2j, -0.69 - 1.57j, 1.2 + 0.5j, 1e-5 + 2e-6j):
+            w = 1 - mpmath.exp(-mpmath.mpc(u))
+            ref = mpmath.im(mpmath.polylog(2, w) - w)
+            assert abs(_im_li2_excess(u) - float(ref)) <= 1e-16 * max(1.0, abs(float(ref)))
+            got = _im_li2_excess(np.array([u, 1e-3j]))[0]
+            assert abs(got - float(ref)) <= 1e-16 * max(1.0, abs(float(ref)))
+
+
+def test_log1p_minus_x_against_mpmath():
+    from lunepot.closed_form import _log1p_minus_x
+
+    xs = [1e-14, -3e-9, 1e-4, -0.0499, 0.0499, 0.05, -0.3, 0.5, 2.0]
+    got = _log1p_minus_x(np.array(xs))
+    for x, g in zip(xs, got.tolist()):
+        ref = float(mpmath.log1p(mpmath.mpf(x)) - x)
+        assert g == pytest.approx(ref, rel=1e-14)
+        assert _log1p_minus_x(x) == pytest.approx(ref, rel=1e-14)

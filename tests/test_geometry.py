@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lunepot.errors import DomainError, EpsilonRangeWarning
 from lunepot.geometry import (
+    REGIMES,
     IntersectionGeometry,
     OverlapQuery,
     Regime,
@@ -14,7 +15,9 @@ from lunepot.geometry import (
     big_l,
     chord_radius,
     classify_regime,
+    classify_regimes,
     intersection_angle,
+    intersection_angle_array,
     intersection_points,
     newtonian_kernel,
     phi_map,
@@ -128,6 +131,18 @@ class TestChordRadius:
         assert -1.0 - 1e-14 <= big_l(t, a) <= 1.0 + 1e-14
 
 
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1, 1e-3, 1e-9])
+    def test_array_matches_scalar(self, eps):
+        a = np.concatenate(
+            [
+                [0.0, 1.0 - eps, 1.0, math.sqrt(1.0 + eps * eps), 1.0 + eps, 3.0],
+                1.0 + eps * np.linspace(-1.2, 1.2, 97),
+            ]
+        )
+        got = [REGIMES[i] for i in classify_regimes(a, eps)]
+        assert got == [classify_regime(OverlapQuery(x, eps)) for x in a.tolist()]
+
+
 class TestIntersectionAngle:
     def test_tangency_dyadic(self):
         e = 0.25
@@ -150,6 +165,14 @@ class TestIntersectionAngle:
                 q = OverlapQuery(float(a), e)
                 phi = intersection_angle(q)
                 assert abs(chord_radius(phi, float(a)) - e) <= 1e-12
+
+
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 1e-4])
+    def test_array_matches_scalar(self, eps):
+        a = 1.0 + eps * np.linspace(-1.0, 1.0, 41)[1:-1]
+        want = [intersection_angle(OverlapQuery(x, eps)) for x in a.tolist()]
+        # numpy's arctan2 may differ from libm's in the last ulp
+        np.testing.assert_allclose(intersection_angle_array(a, eps), want, rtol=5e-16, atol=0.0)
 
 
 class TestPhiMap:
