@@ -31,13 +31,15 @@ from ._backend import angular_primitive_core, im_li2_path
 from .closed_form import (
     _first_case_parts,
     _log1p_minus_x,
+    _potential_array,
     _second_case_parts,
     _wedge_branch_value_array,
     lune_potential,
+    lune_potential_array,
     wedge_branch_value,
 )
 from .errors import DomainError
-from .geometry import OverlapQuery
+from .geometry import OverlapQuery, check_queries
 
 PI = math.pi
 EIGHT_PI = 8.0 * PI
@@ -56,6 +58,7 @@ __all__ = [
     "unit_wedge_series",
     "band_angle_series",
     "lune_potential_stable",
+    "lune_potential_stable_array",
     "profile_value",
     "profile_values",
     "band_profile",
@@ -210,6 +213,21 @@ def _stable_wedge(a: float, e: float) -> float:
     return ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x
 
 
+def _stable_wedge_array(a: np.ndarray, e: float) -> np.ndarray:
+    # _stable_wedge over an array of band centre distances, lane for lane
+    # with the same operation order
+    x = a - 1.0
+    lam = np.clip(0.5 + 0.5 * x / e, 0.0, 1.0)
+    beta = 1.0 - 2.0 * lam
+    sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))
+    omega_p = np.arccos(np.clip(beta, -1.0, 1.0))
+    c_log = beta * sq / (4.0 * PI)
+    c_quad = beta * (beta * omega_p - 3.0 * sq) / (4.0 * PI)
+    e2 = e * e
+    ht = c_log * e2 * math.log(e2) + c_quad * e2
+    return np.where(a > 1.0, ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x, ht)
+
+
 def lune_potential_stable(
     q: OverlapQuery, threshold: float = DISPATCH_THRESHOLD
 ) -> float:
@@ -239,6 +257,19 @@ def lune_potential_stable(
     return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + 8.0 * f)
 
 
+def lune_potential_stable_array(
+    a, eps: float, threshold: float = DISPATCH_THRESHOLD
+) -> np.ndarray:
+    """``lune_potential_stable`` over an array of centre distances at one
+    radius: ``closed_form.lune_potential_array`` above the threshold, the
+    band series at or below it, lane for lane.  Checks the radius, then the
+    distances, as ``lune_potential_array`` does.
+    """
+    if not eps <= threshold:  # a NaN radius too: the closed form rejects it
+        return lune_potential_array(a, eps)
+    return _potential_array(check_queries(a, eps), eps, _stable_wedge_array)
+
+
 def profile_value(a: float, eps: float) -> float:
     """Branch value of the wedge term used by the scaled band profile,
     through the exact path above the dispatch threshold and the series
@@ -251,13 +282,13 @@ def profile_value(a: float, eps: float) -> float:
 
 
 def profile_values(a: np.ndarray, eps: float) -> np.ndarray:
-    """``profile_value`` over an array of band centre distances: one array
-    evaluation above the dispatch threshold, the series point by point at
-    or below it."""
+    """``profile_value`` over an array of band centre distances, as one
+    array evaluation on either side of the dispatch threshold."""
     a = np.asarray(a, dtype=float)
     if eps > DISPATCH_THRESHOLD:
         return _wedge_branch_value_array(a, eps)
-    return np.array([profile_value(x, eps) for x in a.tolist()])
+    w = _stable_wedge_array(a, eps)
+    return np.where(a > 1.0, -w, w)
 
 
 def band_profile(eps: float, grid_n: int):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,19 +22,24 @@ from . import checks as _checks
 from ._backend import backend_name
 from .asymptotic import (
     DISPATCH_THRESHOLD,
-    BandPoint,
     band_profile,
-    from_band,
     lune_potential_stable,
-    profile_value,
+    lune_potential_stable_array,
     profile_values,
 )
-from .closed_form import lune_potential, lune_potential_array
-from .errors import DomainError
-from .geometry import REGIMES, OverlapQuery, classify_regime, classify_regimes
+from .errors import DomainError, EpsilonRangeWarning
+from .geometry import REGIMES, OverlapQuery, check_queries, classify_regime, classify_regimes
 from .quadrature import MIN_TOL, quad_lune
 
+# cli's former calls into other layers; perfbench/tracing.py still wraps
+# them under these names, so they stay importable from here
+from .asymptotic import from_band, profile_value  # noqa: F401
+from .closed_form import lune_potential  # noqa: F401
+
 MODES = ("exact", "stable", "asymptotic", "oracle")
+# dispatch threshold of the stable evaluators per mode: the closed form at
+# every radius, the series at or below DISPATCH_THRESHOLD, the series always
+_THRESHOLDS = {"exact": 0.0, "stable": DISPATCH_THRESHOLD, "asymptotic": math.inf}
 _REGIME_NAMES = np.array([r.value for r in REGIMES])
 
 
@@ -65,13 +73,28 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _write_text(path: str, text: str) -> int:
+    """Write ``text`` to ``path``: exit code 0, or 2 after reporting an
+    OSError.  An existing file is overwritten in place (same inode and
+    mode) and then cut to the new length, instead of being truncated on
+    open: on ext4 an open that truncates a file the previous run also
+    wrote costs far more than the write.  Symlinks are written through;
+    devices and FIFOs are written without the cut.  Not fsynced."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("ascii"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _evaluate(q: OverlapQuery, mode: str, tol: float) -> tuple[float, float | None]:
-    if mode == "exact":
-        return lune_potential(q), None
-    if mode == "stable":
-        return lune_potential_stable(q), None
-    if mode == "asymptotic":
-        return lune_potential_stable(q, threshold=math.inf), None
+    if mode != "oracle":
+        return lune_potential_stable(q, threshold=_THRESHOLDS[mode]), None
     res = quad_lune(q, tol)
     return res.value, res.err_estimate
 
@@ -87,17 +110,17 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_values(spec: SweepSpec, grid: np.ndarray, band_profile_scaling: bool):
-    # (values, branch-value profile or None): one array evaluation each
-    # where the mode resolves to the exact closed form, else point by point
+    # (values, branch-value profile or None): one array evaluation each,
+    # but the oracle goes point by point, after the same checks and warning
     eps = spec.eps
-    if spec.mode == "exact" or (spec.mode == "stable" and eps > DISPATCH_THRESHOLD):
-        values = lune_potential_array(grid, eps)  # validates eps first
-        return values, profile_values(grid, eps) if band_profile_scaling else None
-    points = grid.tolist()
-    values = np.array([_evaluate(OverlapQuery(a, eps), spec.mode, spec.tol)[0] for a in points])
-    if not band_profile_scaling:
-        return values, None
-    return values, np.array([profile_value(a, eps) for a in points])
+    if spec.mode == "oracle":
+        points = check_queries(grid, eps).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EpsilonRangeWarning)
+            values = np.array([quad_lune(OverlapQuery(a, eps), spec.tol).value for a in points])
+    else:
+        values = lune_potential_stable_array(grid, eps, _THRESHOLDS[spec.mode])
+    return values, profile_values(grid, eps) if band_profile_scaling else None
 
 
 def _sweep_rows(spec: SweepSpec, grid: np.ndarray, scaled: bool, band_profile_scaling: bool):
@@ -129,14 +152,8 @@ def cmd_sweep(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-    return 0
+        return 0
+    return _write_text(args.out, text)
 
 
 def cmd_validate(args) -> int:
@@ -157,11 +174,9 @@ def cmd_validate(args) -> int:
     if args.eta:
         eta_eps = (1e-2, 1e-3, 1e-4)
         print("eps,eta")
-        from .asymptotic import band_profile as _profile
-
         etas = []
         for e in eta_eps:
-            eta = _profile(e, 201)[2]
+            eta = band_profile(e, 201)[2]
             etas.append(eta)
             print(f"{_fmt(e)},{_fmt(eta)}")
         slope, logc = np.polyfit(np.log(eta_eps), np.log(etas), 1)
@@ -178,24 +193,18 @@ def cmd_validate(args) -> int:
 
 def cmd_diagnostics(args) -> int:
     lams, scaled, eta = band_profile(args.eps, args.n)
-    header = "lam,a,scaled"
-    lines = [header]
-    for lam, j in zip(lams, scaled):
-        a = from_band(BandPoint(float(lam), args.eps))
-        lines.append(f"{_fmt(lam)},{_fmt(a)},{_fmt(j)}")
-    text = "\n".join(lines) + "\n"
+    # from_band at every point; adding 0.0 turns -0.0 into 0.0, as _fmt does
+    a = 1.0 - (1.0 - 2.0 * lams) * args.eps
+    rows = zip((lams + 0.0).tolist(), (a + 0.0).tolist(), (scaled + 0.0).tolist())
+    text = "lam,a,scaled\n" + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
     if args.out in (None, "-"):
         sys.stdout.write(text)
         print(f"# eta = {_fmt(eta)}", file=sys.stderr)
-    else:
-        try:
-            with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        return 0
+    code = _write_text(args.out, text)
+    if code == 0:
         print(f"eta = {_fmt(eta)}")
-    return 0
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:

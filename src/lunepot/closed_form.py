@@ -42,7 +42,7 @@ from .geometry import (
     CLAMP_SLACK,
     OverlapQuery,
     Regime,
-    check_radius,
+    check_queries,
     classify_regime,
     intersection_angle,
     intersection_angle_array,
@@ -465,15 +465,15 @@ def lune_potential_array(a, eps: float) -> np.ndarray:
 
     The same regimes and closed form as the scalar function, lane for lane,
     without building a query per point: the values agree with it to
-    rounding.  Raises DomainError for a negative or non-finite distance or
-    a radius outside (0, 1), and warns once for a radius above 1/2.
+    rounding.  Raises DomainError for a radius outside (0, 1), then for a
+    negative or non-finite distance, and warns once for a radius above 1/2.
     """
-    a = np.asarray(a, dtype=float)
-    bad = ~(np.isfinite(a) & (a >= 0.0))
-    if bad.any():
-        raise DomainError(f"centre distance must be finite and >= 0, got {a[bad].flat[0]}")
-    check_radius(eps)
-    e = eps
+    return _potential_array(check_queries(a, eps), eps, _wedge_array)
+
+
+def _potential_array(a: np.ndarray, e: float, wedge_array) -> np.ndarray:
+    # the nested constant, 0 outside, and on the open band the sector plus
+    # 8 times the wedge from ``wedge_array``; ``a`` is already checked
     e2 = e * e
     out = np.zeros(a.shape)
     out[a <= 1.0 - e] = 0.25 * e2 * (math.log(e2) - 1.0)
@@ -482,7 +482,7 @@ def lune_potential_array(a, eps: float) -> np.ndarray:
         ab = a[band]
         phi = intersection_angle_array(ab, e)
         sector = (PI - phi) / PI * e2 * (math.log(e2) - 1.0)
-        out[band] = 0.25 * (sector + 8.0 * _wedge_array(ab, e))
+        out[band] = 0.25 * (sector + 8.0 * wedge_array(ab, e))
     return out
 
 

@@ -95,6 +95,17 @@ def check_radius(eps: float) -> None:
         )
 
 
+def check_queries(a, eps: float) -> np.ndarray:
+    """``OverlapQuery``'s checks over an array of centre distances at one
+    radius, the radius first: the distances as a float array."""
+    check_radius(eps)
+    a = np.asarray(a, dtype=float)
+    bad = ~(np.isfinite(a) & (a >= 0.0))
+    if bad.any():
+        raise DomainError(f"centre distance must be finite and >= 0, got {a[bad].flat[0]}")
+    return a
+
+
 def newtonian_kernel(r: float) -> float:
     """Radial profile log(r^2)/(4*pi) of the planar logarithmic kernel."""
     if not (r > 0.0):
@@ -182,16 +193,19 @@ def intersection_angle(q: OverlapQuery) -> float:
     Equals arccos((1 - a^2 - eps^2) / (2*a*eps)); zero at a = 1-eps and
     pi at a = 1+eps.  Evaluated as atan2 of the factored sine against the
     cosine, which stays accurate right up to the band edges where a plain
-    arccos square-root amplifies roundoff.
+    arccos square-root amplifies roundoff.  The cosine's numerator is
+    formed from x = a - 1 as -(x*(2 + x) + eps^2): 1 - a^2 would lose the
+    digits of x near the unit distance.
     """
     a, e = q.a, q.eps
     if a == 0.0:
         raise DomainError("intersection angle undefined at zero centre distance")
-    lo = (a - 1.0) + e          # a - (1 - eps)
+    x = a - 1.0
+    lo = x + e                  # a - (1 - eps)
     hi = (1.0 - a) + e          # (1 + eps) - a
     if lo < -CLAMP_SLACK or hi < -CLAMP_SLACK:
         raise DomainError(f"a = {a} outside the overlap band [1-eps, 1+eps]")
-    cos_phi = _clamped_unit((1.0 - a * a - e * e) / (2.0 * a * e), "intersection-angle cosine")
+    cos_phi = _clamped_unit(-(x * (2.0 + x) + e * e) / (2.0 * a * e), "intersection-angle cosine")
     prod = max(lo, 0.0) * (a + 1.0 + e) * max(hi, 0.0) * (1.0 + a - e)
     sin_phi = math.sqrt(prod) / (2.0 * a * e)
     return math.atan2(sin_phi, cos_phi)
@@ -201,8 +215,9 @@ def intersection_angle_array(a: np.ndarray, eps: float) -> np.ndarray:
     """``intersection_angle`` over an array of centre distances inside the
     open overlap band, with the same factored evaluation."""
     e = eps
-    cos_phi = np.clip((1.0 - a * a - e * e) / (2.0 * a * e), -1.0, 1.0)
-    lo = (a - 1.0) + e
+    x = a - 1.0
+    cos_phi = np.clip(-(x * (2.0 + x) + e * e) / (2.0 * a * e), -1.0, 1.0)
+    lo = x + e
     hi = (1.0 - a) + e
     prod = np.maximum(lo, 0.0) * (a + 1.0 + e) * np.maximum(hi, 0.0) * (1.0 + a - e)
     return np.arctan2(np.sqrt(prod) / (2.0 * a * e), cos_phi)

@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunepot.asymptotic import (
+    DISPATCH_THRESHOLD,
     BandCoefficients,
     BandPoint,
     band_angle_series,
@@ -13,11 +17,14 @@ from lunepot.asymptotic import (
     band_profile,
     from_band,
     lune_potential_stable,
+    lune_potential_stable_array,
+    profile_value,
+    profile_values,
     to_band,
     unit_wedge_series,
 )
 from lunepot.closed_form import lune_potential, wedge_term
-from lunepot.errors import DomainError
+from lunepot.errors import DomainError, EpsilonRangeWarning
 from lunepot.geometry import OverlapQuery, intersection_angle, phi_map
 
 PI = math.pi
@@ -249,6 +256,69 @@ class TestStablePath:
         for e in np.logspace(-6, -14, 5):
             for a in np.linspace(1.0 - e, 1.0 + e, 101):
                 assert math.isfinite(lune_potential_stable(OverlapQuery(float(a), float(e))))
+
+
+class TestStableArray:
+    """The series route over arrays against the scalar series route."""
+
+    @given(
+        t=st.floats(min_value=-1.5, max_value=1.5),
+        log_eps=st.floats(min_value=math.log(1e-14), max_value=math.log(1e-5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_below_threshold(self, t, log_eps):
+        e = math.exp(log_eps)
+        self._agree(max(1.0 + t * e, 0.0), e, DISPATCH_THRESHOLD)
+
+    @given(
+        t=st.floats(min_value=-1.5, max_value=1.5),
+        log_eps=st.floats(min_value=math.log(1e-14), max_value=math.log(0.5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_in_asymptotic_mode(self, t, log_eps):
+        e = math.exp(log_eps)
+        self._agree(max(1.0 + t * e, 0.0), e, math.inf)
+
+    @staticmethod
+    def _agree(a, e, threshold):
+        bound = 1e-13 * e * e * abs(math.log(e * e))
+        got = lune_potential_stable_array(np.array([a]), e, threshold)[0]
+        assert abs(got - lune_potential_stable(OverlapQuery(a, e), threshold)) <= bound
+        if 1.0 - e <= a <= 1.0 + e and e <= DISPATCH_THRESHOLD:
+            assert abs(profile_values(np.array([a]), e)[0] - profile_value(a, e)) <= bound
+
+    def test_regimes_and_constants(self):
+        e = 1e-8
+        a = np.array([0.0, 0.5, 1.0 - e, 1.0, 1.0 + e, 2.0])
+        got = lune_potential_stable_array(a, e)
+        want = [lune_potential_stable(OverlapQuery(x, e)) for x in a.tolist()]
+        assert np.array_equal(got[[0, 1, 2, 4, 5]], np.array(want)[[0, 1, 2, 4, 5]])
+        assert got[4:].tolist() == [0.0, 0.0]
+
+    def test_delegates_above_threshold(self):
+        from lunepot.closed_form import lune_potential_array
+
+        a = np.linspace(0.9, 1.1, 41)
+        assert np.array_equal(lune_potential_stable_array(a, 0.05), lune_potential_array(a, 0.05))
+        assert np.array_equal(
+            lune_potential_stable_array(a, 0.05, threshold=0.0), lune_potential_array(a, 0.05)
+        )
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-5, math.inf])
+    @pytest.mark.parametrize("eps", [0.0, 1.5, math.nan])
+    def test_radius_checked_before_distances(self, eps, threshold):
+        with pytest.raises(DomainError, match="disc radius"):
+            lune_potential_stable_array(np.array([-0.5, math.nan]), eps, threshold)
+
+    def test_bad_distance(self):
+        with pytest.raises(DomainError, match="centre distance"):
+            lune_potential_stable_array(np.array([0.5, -0.1]), 1e-8)
+
+    def test_warns_once_above_half(self):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            lune_potential_stable_array(np.linspace(0.0, 2.0, 50), 0.8, math.inf)
+        assert [w.category for w in rec] == [EpsilonRangeWarning]
 
 
 class TestBandProfile:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lunepot.asymptotic import lune_potential_stable, profile_value
-from lunepot.cli import _fmt, main
+from lunepot.cli import MODES, _fmt, main
 from lunepot.closed_form import lune_potential
 from lunepot.errors import EpsilonRangeWarning
 from lunepot.geometry import OverlapQuery, classify_regime
@@ -140,8 +140,8 @@ SWEEPS = [
 
 
 class TestSweepColumns:
-    """The sweep evaluates whole grids at once where the mode resolves to
-    the exact closed form; its rows must match the point-by-point path."""
+    """The sweep evaluates whole grids at once in every mode but the
+    oracle; its rows must match the point-by-point path."""
 
     @pytest.mark.parametrize("mode,eps,extra", SWEEPS)
     def test_rows_match_per_point_path(self, capsys, mode, eps, extra):
@@ -163,10 +163,10 @@ class TestSweepColumns:
             assert fields[:3] == [_fmt(a), _fmt(e), classify_regime(q).value]
             value = float(fields[3])
             want = _per_point(mode, a, e)
-            if mode == "exact" or (mode == "stable" and e > 1e-5):
-                assert abs(value - want) <= bound
-            else:
+            if mode == "oracle":
                 assert fields[3] == _fmt(want)
+            else:
+                assert abs(value - want) <= bound
             if "--lambda-grid" in extra:
                 assert abs(float(fields[4]) - profile_value(a, e) / scale) <= 1e-13
             elif "--scaled" in extra:
@@ -196,13 +196,13 @@ class TestSweepColumns:
         assert "centre distance" in err
 
     @pytest.mark.parametrize("eps", ["0", "1.5", "nan"])
-    @pytest.mark.parametrize("mode", ["exact", "stable", "asymptotic"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_bad_radius_on_band_grid_exit_2(self, capsys, mode, eps):
         code, _, err = run_cli(
             capsys, "sweep", "--eps", eps, "--lambda-grid", "--scaled", "--n", "5", "--mode", mode
         )
         assert code == 2
-        assert "error" in err
+        assert "disc radius" in err
 
     def test_large_radius_sweep(self, capsys):
         # eps = 0.8 reaches a < 1/2, where the wedge takes the Taylor series
@@ -220,6 +220,85 @@ class TestSweepColumns:
             for r in rows:
                 ref = quad_lune(OverlapQuery(float(r[0]), 0.8), 1e-12).value
                 assert float(r[3]) == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "oracle"])
+    def test_large_radius_sweep_warns_once(self, capsys, mode):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                capsys, "sweep", "--eps", "0.8", "--n", "11", "--mode", mode,
+                "--lambda-grid", "--scaled",
+            )
+        assert code == 0
+        assert [w.category for w in rec] == [EpsilonRangeWarning]
+        assert len(out.strip().split("\n")) == 12
+
+
+# (command, arguments) writing a CSV to --out; the second is shorter
+WRITERS = {
+    "sweep": (["sweep", "--eps", "0.2", "--n", "40"], ["sweep", "--eps", "0.2", "--n", "4"]),
+    "diagnostics": (
+        ["diagnostics", "--eps", "1e-3", "--n", "40"],
+        ["diagnostics", "--eps", "1e-3", "--n", "4"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+class TestOut:
+    """--out overwrites a file in place: same inode and mode, exactly the
+    new bytes."""
+
+    @staticmethod
+    def _stdout(capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return out.encode("ascii")
+
+    def test_shorter_rewrite_leaves_new_bytes(self, capsys, tmp_path, command):
+        longer, shorter = WRITERS[command]
+        path = tmp_path / "out.csv"
+        assert run_cli(capsys, *longer, "--out", str(path))[0] == 0
+        assert path.read_bytes() == self._stdout(capsys, longer)
+        assert run_cli(capsys, *shorter, "--out", str(path))[0] == 0
+        assert path.read_bytes() == self._stdout(capsys, shorter)
+
+    def test_inode_and_mode_kept(self, capsys, tmp_path, command):
+        _, argv = WRITERS[command]
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 100000)
+        os.chmod(path, 0o640)
+        before = os.stat(path)
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_bytes() == self._stdout(capsys, argv)
+
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path, command):
+        _, argv = WRITERS[command]
+        old = os.umask(0o027)
+        try:
+            assert run_cli(capsys, *argv, "--out", str(tmp_path / "new.csv"))[0] == 0
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "new.csv").st_mode & 0o777 == 0o640
+
+    def test_symlink_written_through(self, capsys, tmp_path, command):
+        longer, shorter = WRITERS[command]
+        target = tmp_path / "target.csv"
+        link = tmp_path / "link.csv"
+        assert run_cli(capsys, *longer, "--out", str(target))[0] == 0
+        link.symlink_to(target)
+        assert run_cli(capsys, *shorter, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == self._stdout(capsys, shorter)
+
+    def test_dev_null_and_directory(self, capsys, tmp_path, command):
+        _, argv = WRITERS[command]
+        assert run_cli(capsys, *argv, "--out", os.devnull)[0] == 0
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert "cannot write" in err
 
 
 class TestValidate:
@@ -251,6 +330,21 @@ class TestDiagnostics:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "lam,a,scaled"
         assert len(lines) == 12
+
+
+    def test_rows_byte_identical_to_per_row_formatting(self, capsys):
+        # each row as from_band and _fmt give it, one value at a time
+        from lunepot.asymptotic import BandPoint, band_profile, from_band
+
+        for eps in ("1e-3", "0.3", "1e-9"):
+            code, out, _ = run_cli(capsys, "diagnostics", "--eps", eps, "--n", "33")
+            assert code == 0
+            lams, scaled, _ = band_profile(float(eps), 33)
+            want = ["lam,a,scaled"] + [
+                f"{_fmt(lam)},{_fmt(from_band(BandPoint(float(lam), float(eps))))},{_fmt(j)}"
+                for lam, j in zip(lams, scaled)
+            ]
+            assert out == "\n".join(want) + "\n"
 
 
 def test_module_entry_point():

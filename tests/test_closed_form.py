@@ -338,6 +338,10 @@ class TestArrayEvaluation:
             lune_potential_array([math.nan], 0.2)
         with pytest.raises(DomainError, match="disc radius"):
             lune_potential_array([0.5], 1.0)
+        # the radius is checked before the distances
+        for eps in (1.5, math.nan, 0.0):
+            with pytest.raises(DomainError, match="disc radius"):
+                lune_potential_array([-0.5], eps)
 
     def test_array_warns_once(self):
         from lunepot.closed_form import lune_potential_array
@@ -358,6 +362,22 @@ class TestArrayEvaluation:
         for x, v in zip(a.tolist(), values.tolist()):
             assert scaled_error(v, x, eps) <= 1e-12
             assert scaled_error(lune_potential(OverlapQuery(x, eps)), x, eps) <= 1e-12
+
+    def test_exact_panel_against_mpmath(self):
+        # ten radii in [1e-4, 1/2], 41 points across each band, edge to
+        # edge; the sector angle's cosine is formed from x = a - 1, which
+        # keeps the error below 1e-15 scaled (1 - a^2 - eps^2 reached 4e-14)
+        from mp_reference import potential
+
+        from lunepot.closed_form import lune_potential_array
+
+        for eps in np.geomspace(1e-4, 0.5, 10).tolist():
+            a = np.linspace(1.0 - eps, 1.0 + eps, 41)
+            bound = 1e-15 * _scale(eps)
+            for x, v in zip(a.tolist(), lune_potential_array(a, eps).tolist()):
+                ref = potential(x, eps)
+                assert abs(v - ref) <= bound
+                assert abs(lune_potential(OverlapQuery(x, eps)) - ref) <= bound
 
 
 class TestSeriesLengths:
