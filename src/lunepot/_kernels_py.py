@@ -6,7 +6,11 @@ panels.  A compiled twin (``_kernels_cy``) implements the same functions
 with identical semantics; ``lunepot._backend`` picks one at import time.
 
 Everything here works on plain floats (complex values as re/im pairs) so
-the two implementations stay line-for-line comparable.
+the two implementations stay line-for-line comparable, with one
+exception: ``wedge_panel``, the quadrature oracle's hot loop, evaluates
+its integrand inline over one node table instead of calling ``_wedge_f``
+per node.  It keeps ``_panel``'s operation order, so its results are
+bit-identical to ``_panel(_wedge_f, ...)``.
 """
 
 from __future__ import annotations
@@ -258,10 +262,56 @@ def _panel(f, a: float, lo: float, hi: float):
     return k * h, g * h
 
 
+# (abscissa, Kronrod weight, Gauss weight or 0) per pair of nodes +-x
+_GK_TABLE = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+
+
 def wedge_panel(a: float, lo: float, hi: float):
     """15- and 7-point estimates of the integral of s^2*(log s^2 - 1) over
-    [lo, hi] in the polar angle."""
-    return _panel(_wedge_f, a, lo, hi)
+    [lo, hi] in the polar angle.
+
+    ``_panel(_wedge_f, a, lo, hi)`` with the chord radius and the integrand
+    written out at each node, in the same operation order: the results are
+    bit-identical, without two Python calls per node.
+    """
+    sin = math.sin
+    cos = math.cos
+    sqrt = math.sqrt
+    log = math.log
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    na = -a
+    st = a * sin(c)
+    d = 1.0 - st * st
+    if d < 0.0:
+        d = 0.0
+    s = na * cos(c) + sqrt(d)
+    t = s * s
+    fc = 0.0 if t < 1e-300 else t * (log(t) - 1.0)
+    k = _WGK_C * fc
+    g = _WG_C * fc
+    for x, wk, wg in _GK_TABLE:
+        dx = h * x
+        theta = c + dx
+        st = a * sin(theta)
+        d = 1.0 - st * st
+        if d < 0.0:
+            d = 0.0
+        s = na * cos(theta) + sqrt(d)
+        t = s * s
+        fp = 0.0 if t < 1e-300 else t * (log(t) - 1.0)
+        theta = c - dx
+        st = a * sin(theta)
+        d = 1.0 - st * st
+        if d < 0.0:
+            d = 0.0
+        s = na * cos(theta) + sqrt(d)
+        t = s * s
+        fm = 0.0 if t < 1e-300 else t * (log(t) - 1.0)
+        k += wk * (fp + fm)
+        if wg:
+            g += wg * (fp + fm)
+    return k * h, g * h
 
 
 def cos_log_panel(a: float, lo: float, hi: float):

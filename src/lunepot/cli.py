@@ -9,12 +9,14 @@ so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import stat
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -123,8 +125,11 @@ def _sweep_values(spec: SweepSpec, grid: np.ndarray, band_profile_scaling: bool)
     return values, profile_values(grid, eps) if band_profile_scaling else None
 
 
-def _sweep_rows(spec: SweepSpec, grid: np.ndarray, scaled: bool, band_profile_scaling: bool):
-    # one format per row; adding 0.0 turns -0.0 into 0.0, as _fmt does
+def _sweep_rows(
+    spec: SweepSpec, grid: np.ndarray, scaled: bool, band_profile_scaling: bool
+) -> str:
+    # every row in one format over a repeated row template; adding 0.0
+    # turns -0.0 into 0.0, as _fmt does
     values, profile = _sweep_values(spec, grid, scaled and band_profile_scaling)
     template = "%.17g," + _fmt(spec.eps) + ",%s,%.17g"
     regimes = _REGIME_NAMES[classify_regimes(grid, spec.eps)].tolist()
@@ -134,7 +139,7 @@ def _sweep_rows(spec: SweepSpec, grid: np.ndarray, scaled: bool, band_profile_sc
         column = values if profile is None else profile
         columns.append((column / scale + 0.0).tolist())
         template += ",%.17g"
-    return [template % row for row in zip(*columns)]
+    return (template + "\n") * len(grid) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def cmd_sweep(args) -> int:
@@ -147,9 +152,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = np.linspace(spec.a_min, spec.a_max, spec.n)
     header = "a,eps,regime,value" + (",scaled" if args.scaled else "")
-    lines = [header]
-    lines.extend(_sweep_rows(spec, grid, args.scaled, args.lambda_grid))
-    text = "\n".join(lines) + "\n"
+    text = header + "\n" + _sweep_rows(spec, grid, args.scaled, args.lambda_grid)
     if args.out in (None, "-"):
         sys.stdout.write(text)
         return 0
@@ -207,7 +210,10 @@ def cmd_diagnostics(args) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process, on the first call of main; parsing leaves
+    # the parser unchanged, so every call reuses it
     parser = argparse.ArgumentParser(
         prog="lunepot",
         description="Potential of the overlap of a unit disc with a small disc.",

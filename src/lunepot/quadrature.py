@@ -18,9 +18,11 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ._backend import cos_log_panel, wedge_panel
+from ._kernels_py import _panel
 from .errors import DomainError, QuadratureWarning
 from .geometry import OverlapQuery, Regime, angular_region, classify_regime, intersection_angle
 
@@ -57,13 +59,15 @@ def _check_tol(tol: float) -> None:
 
 
 def _run_adaptive(
-    panel: Callable[[float, float], tuple[float, float]],
+    panel: Callable[[object, float, float], tuple[float, float]],
+    arg: object,
     intervals: list[tuple[float, float, float]],
     tol: float,
     budget: int,
-) -> QuadResult:
-    # intervals carry a +/-1 weight so region parts bounded from below by
-    # the unit circle can subtract
+) -> tuple[float, float, int, bool]:
+    # (value, error estimate, panels, converged) of the weighted sum over
+    # intervals of panel(arg, lo, hi); intervals carry a +/-1 weight so
+    # region parts bounded from below by the unit circle can subtract
     heap: list[tuple[float, int, float, float, float, float]] = []
     seq = 0
     total = 0.0
@@ -72,7 +76,7 @@ def _run_adaptive(
     for lo, hi, w in intervals:
         if hi <= lo:
             continue
-        k, g = panel(lo, hi)
+        k, g = panel(arg, lo, hi)
         e = abs(k - g)
         heapq.heappush(heap, (-e, seq, lo, hi, w, w * k))
         seq += 1
@@ -80,7 +84,7 @@ def _run_adaptive(
         err += e
         count += 1
     if count == 0:
-        return QuadResult(0.0, 0.0, 1, True)
+        return 0.0, 0.0, 1, True
     while err > tol and count < budget:
         neg_e, _, lo, hi, w, wk_old = heapq.heappop(heap)
         err += neg_e  # remove this panel's error
@@ -92,21 +96,33 @@ def _run_adaptive(
             err -= neg_e
             break
         for a, b in ((lo, mid), (mid, hi)):
-            k, g = panel(a, b)
+            k, g = panel(arg, a, b)
             e = abs(k - g)
             heapq.heappush(heap, (-e, seq, a, b, w, w * k))
             seq += 1
             total += w * k
             err += e
         count += 1
-    converged = err <= tol
+    return total, err, count, err <= tol
+
+
+def _result(value: float, err: float, count: int, converged: bool, tol: float) -> QuadResult:
+    # called by each public function, so that a warning names its caller
     if not converged:
         warnings.warn(
             f"quadrature stopped at {count} panels with error estimate {err:.3e} > {tol:.3e}",
             QuadratureWarning,
             stacklevel=3,
         )
-    return QuadResult(total, err, count, converged)
+    return QuadResult(value, err, count, converged)
+
+
+def _call_unary(x: float, f: Callable[[float], float]) -> float:
+    # _panel evaluates f(x, arg); adaptive_quad's integrand is the arg
+    return f(x)
+
+
+_unary_panel = partial(_panel, _call_unary)
 
 
 def adaptive_quad(
@@ -118,53 +134,32 @@ def adaptive_quad(
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod 15/7 quadrature of a scalar callable."""
     _check_tol(tol)
-    from ._kernels_py import _WG, _WG_C, _WGK, _WGK_C, _XGK
-
-    def panel(a: float, b: float) -> tuple[float, float]:
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        fc = f(c)
-        k = _WGK_C * fc
-        g = _WG_C * fc
-        for i in range(7):
-            fp = f(c + h * _XGK[i])
-            fm = f(c - h * _XGK[i])
-            k += _WGK[i] * (fp + fm)
-            if i & 1:
-                g += _WG[(i - 1) >> 1] * (fp + fm)
-        return k * h, g * h
-
-    return _run_adaptive(panel, [(lo, hi, 1.0)], tol, budget)
+    value, err, count, converged = _run_adaptive(_unary_panel, f, [(lo, hi, 1.0)], tol, budget)
+    return _result(value, err, count, converged, tol)
 
 
-def _wedge_intervals(q: OverlapQuery) -> list[tuple[float, float, float]]:
+def _wedge_intervals(
+    q: OverlapQuery, phi: float | None = None
+) -> list[tuple[float, float, float]]:
     # Angular intervals beyond pi mirror the lower edge of the region,
     # where the chord radius marks the inner boundary of the lune: those
-    # parts subtract from the sector rather than add.
+    # parts subtract from the sector rather than add.  phi, when given, is
+    # intersection_angle(q), already known to the caller.
     if q.a < 1.0:
-        return [(0.0, intersection_angle(q), 1.0)]
+        return [(0.0, intersection_angle(q) if phi is None else phi, 1.0)]
     return [(lo, hi, -1.0 if lo >= PI else 1.0) for lo, hi in angular_region(q)]
-
-
-def _quad_wedge_raw(q: OverlapQuery, tol: float, budget: int) -> QuadResult:
-    if q.a < 1.0 - q.eps - 1e-12 or q.a > 1.0 + q.eps + 1e-12:
-        raise DomainError(f"a = {q.a} outside the overlap band for eps = {q.eps}")
-    a = q.a
-
-    def panel(lo: float, hi: float) -> tuple[float, float]:
-        return wedge_panel(a, lo, hi)
-
-    raw = _run_adaptive(panel, _wedge_intervals(q), tol * EIGHT_PI, budget)
-    return QuadResult(
-        raw.value / EIGHT_PI, raw.err_estimate / EIGHT_PI, raw.subdivisions, raw.converged
-    )
 
 
 def quad_wedge(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET) -> QuadResult:
     """Wedge term by adaptive quadrature of s^2*(log s^2 - 1)/(8*pi) over
     the polar angle: [0, phi] for a <= 1, the angular region beyond."""
     _check_tol(tol)
-    return _quad_wedge_raw(q, tol, budget)
+    if q.a < 1.0 - q.eps - 1e-12 or q.a > 1.0 + q.eps + 1e-12:
+        raise DomainError(f"a = {q.a} outside the overlap band for eps = {q.eps}")
+    value, err, count, converged = _run_adaptive(
+        wedge_panel, q.a, _wedge_intervals(q), tol * EIGHT_PI, budget
+    )
+    return _result(value / EIGHT_PI, err / EIGHT_PI, count, converged, tol)
 
 
 def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET) -> QuadResult:
@@ -179,14 +174,14 @@ def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET)
         return QuadResult(0.25 * e2 * (math.log(e2) - 1.0), 0.0, 1, True)
     if regime is Regime.OUTSIDE:
         return QuadResult(0.0, 0.0, 1, True)
+    # inside the open band: quad_wedge's band check cannot fail here
     phi = intersection_angle(q)
     sector = (PI - phi) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
-    wedge = _quad_wedge_raw(q, 0.5 * tol, budget)
-    return QuadResult(
-        sector + 2.0 * wedge.value,
-        2.0 * wedge.err_estimate,
-        wedge.subdivisions,
-        wedge.converged,
+    value, err, count, converged = _run_adaptive(
+        wedge_panel, q.a, _wedge_intervals(q, phi), 0.5 * tol * EIGHT_PI, budget
+    )
+    return _result(
+        sector + 2.0 * (value / EIGHT_PI), 2.0 * (err / EIGHT_PI), count, converged, tol
     )
 
 
@@ -200,11 +195,8 @@ def quad_cos_log(
         raise DomainError(f"modulus must lie in (0, 1], got {a}")
     if not 0.0 <= phi <= PI + 1e-12:
         raise DomainError(f"angle {phi} outside [0, pi]")
-
-    def panel(lo: float, hi: float) -> tuple[float, float]:
-        return cos_log_panel(a, lo, hi)
-
-    return _run_adaptive(panel, [(0.0, phi, 1.0)], tol, budget)
+    value, err, count, converged = _run_adaptive(cos_log_panel, a, [(0.0, phi, 1.0)], tol, budget)
+    return _result(value, err, count, converged, tol)
 
 
 def _radial_piece(lower: float, upper: float, tol: float) -> float:

@@ -347,6 +347,37 @@ class TestDiagnostics:
             assert out == "\n".join(want) + "\n"
 
 
+class TestParserReuse:
+    # main builds its parser once per process; argv that each start from
+    # the defaults, with a usage error among them
+    ARGVS = (
+        ("sweep", "--eps", "0.2", "--n", "7", "--lambda-grid", "--scaled", "--mode", "stable"),
+        ("eval", "--a", "1", "--eps", "0.5", "--mode", "bogus"),
+        ("sweep", "--eps", "0.2", "--n", "7"),
+        ("eval", "--a", "0.9", "--eps", "0.3", "--mode", "oracle", "--tol", "1e-9"),
+        ("sweep", "--eps", "0.2"),
+        ("eval", "--a", "0.9", "--eps", "0.3"),
+        ("diagnostics", "--eps", "0.01", "--n", "5"),
+    )
+
+    def test_parser_built_once(self, capsys):
+        from lunepot.cli import _build_parser
+
+        run_cli(capsys, "eval", "--a", "0.5", "--eps", "0.1")
+        assert _build_parser() is _build_parser()
+
+    def test_consecutive_calls_match_calls_alone(self, capsys):
+        from lunepot.cli import _build_parser
+
+        alone = []
+        for argv in self.ARGVS:
+            _build_parser.cache_clear()
+            alone.append(run_cli(capsys, *argv))
+        together = [run_cli(capsys, *argv) for argv in self.ARGVS]
+        assert together == alone
+        assert [code for code, _, _ in alone] == [0, 2, 0, 0, 0, 0, 0]
+
+
 def test_module_entry_point():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lunepot import _kernels_py as kern
 from lunepot.errors import DomainError, QuadratureWarning
@@ -41,6 +44,120 @@ class TestRulePair:
         res = adaptive_quad(math.exp, 0.0, 1.0, 1e-13)
         assert res.value == pytest.approx(math.e - 1.0, abs=1e-14)
         assert res.converged
+
+
+def _panel_nodes(lo, hi):
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    return [c] + [c + s * h * x for x in kern._XGK for s in (1.0, -1.0)]
+
+
+class TestWedgePanel:
+    # wedge_panel writes _wedge_f out inline; it must stay bit-identical
+    # to the generic panel over _wedge_f
+
+    @given(
+        a=st.floats(min_value=0.0, max_value=1.5),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        v=st.floats(min_value=0.0, max_value=1.0),
+        far=st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_generic_panel(self, a, u, v, far):
+        # inside the chord domain: every angle for a <= 1, within the
+        # turning angle of 0 (far) or pi beyond
+        if a <= 1.0:
+            lo, hi = 2.0 * PI * u, 2.0 * PI * v
+        else:
+            alpha = math.asin(1.0 / a)
+            centre = 0.0 if far else PI
+            lo, hi = centre + alpha * (2.0 * u - 1.0), centre + alpha * (2.0 * v - 1.0)
+        assert kern.wedge_panel(a, lo, hi) == kern._panel(kern._wedge_f, a, lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(0.25 * PI, 0.5 * PI), (1.0, 0.5 * PI + 0.3), (0.0, 1e-3), (0.0, PI)]
+    )
+    def test_zero_radius_guard(self, lo, hi):
+        # a = 1 up to theta = pi/2: the chord radius vanishes to roundoff
+        # and t < 1e-300 takes the zero branch at some nodes
+        assert any(kern.chord_radius_core(t, 1.0) ** 2 < 1e-300 for t in _panel_nodes(lo, hi))
+        assert kern.wedge_panel(1.0, lo, hi) == kern._panel(kern._wedge_f, 1.0, lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(0.5 * PI, PI), (PI - math.asin(0.8) - 0.1, 2.3)])
+    def test_discriminant_clamp(self, lo, hi):
+        # a > 1 past the turning angle: 1 - a^2 sin^2 < 0 is clamped to 0
+        a = 1.25
+        assert any(1.0 - (a * math.sin(t)) ** 2 < 0.0 for t in _panel_nodes(lo, hi))
+        assert kern.wedge_panel(a, lo, hi) == kern._panel(kern._wedge_f, a, lo, hi)
+
+
+class TestGolden:
+    # pinned QuadResults: a change to the panels or to the adaptive
+    # driver's set-up must leave every field bit-identical
+    @pytest.mark.parametrize(
+        "fn,a,e,kwargs,want",
+        [
+            (quad_lune, 0.95, 0.1, {},
+             QuadResult(-0.011456196296062184, 1.9857345888215385e-14, 2, True)),
+            (quad_lune, 1.0, 0.1, {},
+             QuadResult(-0.006866589699114386, 3.0741323237732393e-13, 4, True)),
+            (quad_lune, 1.003, 0.1, {},
+             QuadResult(-0.006554032568505087, 7.319695382902754e-13, 26, True)),
+            (quad_lune, 1.05, 0.1, {},
+             QuadResult(-0.0023838531929550343, 1.9144067848322938e-15, 3, True)),
+            (quad_lune, 0.9997, 0.001, {},
+             QuadResult(-2.5756492839743205e-06, 4.862422339876883e-14, 2, True)),
+            (quad_lune, 0.8, 0.5, {},
+             QuadResult(-0.11306506237377444, 1.4362413105336571e-13, 2, True)),
+            (quad_lune, 1.003, 0.1, {"budget": 5},
+             QuadResult(-0.006554059521623475, 4.548832531037725e-07, 5, False)),
+            (quad_wedge, 0.97, 0.05, {},
+             QuadResult(-0.0003716444965633194, 4.0125596249731307e-13, 1, True)),
+            (quad_wedge, 1.02, 0.05, {},
+             QuadResult(0.00028342586458151615, 4.692344864162306e-15, 3, True)),
+            (quad_wedge, 1.003, 0.1, {"budget": 5},
+             QuadResult(4.802761834189985e-05, 2.2744162655188625e-07, 5, False)),
+        ],
+    )
+    def test_lune_and_wedge(self, fn, a, e, kwargs, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            assert fn(OverlapQuery(a, e), **kwargs) == want
+
+    def test_cos_log(self):
+        assert quad_cos_log(0.7, 2.0) == QuadResult(
+            1.5320937004417474, 7.820410985459603e-13, 4, True
+        )
+        assert quad_cos_log(1.0, 0.5) == QuadResult(
+            0.06313883403866909, 9.426667266609264e-13, 7, True
+        )
+
+    def test_adaptive(self):
+        assert adaptive_quad(math.exp, 0.0, 1.0, 1e-13) == QuadResult(
+            1.71828182845904, 5.995204332975845e-15, 1, True
+        )
+
+
+class TestWarningSite:
+    # an unconverged run warns at the caller's line, so the default filter
+    # shows one warning per calling line, not one per process
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: quad_lune(OverlapQuery(1.003, 0.1), budget=2),
+            lambda: quad_wedge(OverlapQuery(1.003, 0.1), budget=2),
+            lambda: quad_cos_log(1.0, 1.0, 1e-13, budget=2),
+            lambda: adaptive_quad(math.sqrt, 0.0, 1.0, 1e-13, budget=2),
+        ],
+        ids=["quad_lune", "quad_wedge", "quad_cos_log", "adaptive_quad"],
+    )
+    def test_warning_names_caller(self, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = call()
+        assert not res.converged
+        assert [w.category for w in caught] == [QuadratureWarning]
+        assert caught[0].filename == __file__
 
 
 class TestQuadWedge:
