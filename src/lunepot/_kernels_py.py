@@ -6,11 +6,13 @@ panels.  A compiled twin (``_kernels_cy``) implements the same functions
 with identical semantics; ``lunepot._backend`` picks one at import time.
 
 Everything here works on plain floats (complex values as re/im pairs) so
-the two implementations stay line-for-line comparable, with one
-exception: ``wedge_panel``, the quadrature oracle's hot loop, evaluates
+the two implementations stay line-for-line comparable, with two
+exceptions.  ``wedge_panel``, the quadrature oracle's hot loop, evaluates
 its integrand inline over one node table instead of calling ``_wedge_f``
 per node.  It keeps ``_panel``'s operation order, so its results are
-bit-identical to ``_panel(_wedge_f, ...)``.
+bit-identical to ``_panel(_wedge_f, ...)``.  ``wedge_panel_turn``, the
+same panel in the substituted variable tau = sqrt(theta - theta_t) that
+the oracle uses beyond the unit distance, has no compiled twin.
 """
 
 from __future__ import annotations
@@ -308,6 +310,60 @@ def wedge_panel(a: float, lo: float, hi: float):
         s = na * cos(theta) + sqrt(d)
         t = s * s
         fm = 0.0 if t < 1e-300 else t * (log(t) - 1.0)
+        k += wk * (fp + fm)
+        if wg:
+            g += wg * (fp + fm)
+    return k * h, g * h
+
+
+def wedge_panel_turn(arg: tuple[float, float], lo: float, hi: float):
+    """15- and 7-point estimates of the integral of s^2*(log s^2 - 1) over
+    theta = theta_t + tau^2 for tau in [lo, hi], arg = (theta_t, a): the
+    integrand in tau is 2*tau*s^2*(log s^2 - 1).
+
+    At a turning angle theta_t of a > 1, where a*|sin theta_t| = 1, the
+    chord radius has a square-root endpoint in theta; in tau it is smooth.
+    Written out like ``wedge_panel``: bit-identical to ``_panel`` over
+    2*tau*_wedge_f(theta_t + tau*tau, a).
+    """
+    sin = math.sin
+    cos = math.cos
+    sqrt = math.sqrt
+    log = math.log
+    theta_t, a = arg
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    na = -a
+    theta = theta_t + c * c
+    st = a * sin(theta)
+    d = 1.0 - st * st
+    if d < 0.0:
+        d = 0.0
+    s = na * cos(theta) + sqrt(d)
+    t = s * s
+    fc = 2.0 * c * (0.0 if t < 1e-300 else t * (log(t) - 1.0))
+    k = _WGK_C * fc
+    g = _WG_C * fc
+    for x, wk, wg in _GK_TABLE:
+        dx = h * x
+        tau = c + dx
+        theta = theta_t + tau * tau
+        st = a * sin(theta)
+        d = 1.0 - st * st
+        if d < 0.0:
+            d = 0.0
+        s = na * cos(theta) + sqrt(d)
+        t = s * s
+        fp = 2.0 * tau * (0.0 if t < 1e-300 else t * (log(t) - 1.0))
+        tau = c - dx
+        theta = theta_t + tau * tau
+        st = a * sin(theta)
+        d = 1.0 - st * st
+        if d < 0.0:
+            d = 0.0
+        s = na * cos(theta) + sqrt(d)
+        t = s * s
+        fm = 2.0 * tau * (0.0 if t < 1e-300 else t * (log(t) - 1.0))
         k += wk * (fp + fm)
         if wg:
             g += wg * (fp + fm)

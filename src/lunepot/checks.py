@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .asymptotic import (
+    DISPATCH_THRESHOLD,
     BandPoint,
     band_angle_series,
     band_core,
@@ -320,19 +321,20 @@ def check_angle_series(
 
 
 def check_stability(
-    threshold: float = 1e-5,
+    threshold: float = DISPATCH_THRESHOLD,
     grid_n: int = 1000,
     tol: float = 1e-6,
 ) -> CheckResult:
-    """Stable-path finiteness over extreme radii plus agreement with the
-    exact path, on the scaled quantity, at the dispatch threshold."""
+    """Finiteness over extreme radii of the stable path dispatching at
+    ``threshold``, plus its agreement with the exact path, on the scaled
+    quantity, at eps = threshold."""
     for e in np.logspace(-1.0, -14.0, 14):
         half = grid_n // 2
         grid = np.concatenate(
             [np.linspace(0.0, 1.0 + e, half), np.linspace(1.0 - e, 1.0 + e, grid_n - half)]
         )
         for a in grid:
-            v = lune_potential_stable(OverlapQuery(float(a), float(e)))
+            v = lune_potential_stable(OverlapQuery(float(a), float(e)), threshold)
             if not math.isfinite(v):
                 return CheckResult(
                     "stability", False, math.inf, tol, f"non-finite at a={float(a)}, eps={float(e)}"
@@ -343,7 +345,7 @@ def check_stability(
     where = ""
     for a in np.linspace(1.0 - e, 1.0 + e, 401):
         q = OverlapQuery(float(a), e)
-        d = abs(lune_potential_stable(q) - lune_potential(q)) / scale
+        d = abs(lune_potential_stable(q, threshold) - lune_potential(q)) / scale
         if d > worst:
             worst, where = d, f"a={float(a)!r}"
     return CheckResult("stability", worst <= tol, worst, tol, f"threshold agreement, {where}")

@@ -9,7 +9,15 @@ cosine-log primitive.  ``quad_lune_tensor`` is a deliberately slow fully
 2D cross-check of the oracle itself.
 
 The error estimate is the summed |high - low| over panels; panels adjacent
-to integrable log endpoints are simply bisected until the pair agrees.
+to integrable log endpoints are bisected until the pair agrees.  Two
+features of the wedge integrand are handled before bisection.  Beyond the
+unit distance every angular interval starts at or just above a turning
+angle theta_t (pi - alpha or 2*pi - alpha, alpha = asin(1/a)), where the
+chord radius has a square-root endpoint; there the integral is taken in
+tau = sqrt(theta - theta_t), dtheta = 2*tau*dtau, where the integrand is
+smooth.  Inside the unit distance, [0, phi] is broken at pi/2 when phi
+exceeds it: just below a = 1 the integrand is nearly zero up to pi/2 and
+lives in a thin layer past it, which one panel's nodes can miss.
 """
 
 from __future__ import annotations
@@ -22,11 +30,17 @@ from functools import partial
 from typing import Callable
 
 from ._backend import cos_log_panel, wedge_panel
-from ._kernels_py import _panel
+from ._kernels_py import _panel, wedge_panel_turn
 from .errors import DomainError, QuadratureWarning
-from .geometry import OverlapQuery, Regime, angular_region, classify_regime, intersection_angle
+from .geometry import OverlapQuery, Regime, classify_regime, intersection_angle
+
+# quadrature's former call into geometry; perfbench/tracing.py still wraps
+# it under this name, so it stays importable from here
+from .geometry import angular_region  # noqa: F401
 
 PI = math.pi
+HALF_PI = 0.5 * PI
+TWO_PI = 2.0 * PI
 EIGHT_PI = 8.0 * PI
 
 MIN_TOL = 1e-13
@@ -60,25 +74,24 @@ def _check_tol(tol: float) -> None:
 
 def _run_adaptive(
     panel: Callable[[object, float, float], tuple[float, float]],
-    arg: object,
-    intervals: list[tuple[float, float, float]],
+    intervals: list[tuple[float, float, float, object]],
     tol: float,
     budget: int,
 ) -> tuple[float, float, int, bool]:
     # (value, error estimate, panels, converged) of the weighted sum over
-    # intervals of panel(arg, lo, hi); intervals carry a +/-1 weight so
-    # region parts bounded from below by the unit circle can subtract
-    heap: list[tuple[float, int, float, float, float, float]] = []
+    # intervals (lo, hi, w, arg) of panel(arg, lo, hi); the +/-1 weight
+    # lets region parts bounded from below by the unit circle subtract
+    heap: list[tuple[float, int, float, float, float, float, object]] = []
     seq = 0
     total = 0.0
     err = 0.0
     count = 0
-    for lo, hi, w in intervals:
+    for lo, hi, w, arg in intervals:
         if hi <= lo:
             continue
         k, g = panel(arg, lo, hi)
         e = abs(k - g)
-        heapq.heappush(heap, (-e, seq, lo, hi, w, w * k))
+        heapq.heappush(heap, (-e, seq, lo, hi, w, w * k, arg))
         seq += 1
         total += w * k
         err += e
@@ -86,7 +99,7 @@ def _run_adaptive(
     if count == 0:
         return 0.0, 0.0, 1, True
     while err > tol and count < budget:
-        neg_e, _, lo, hi, w, wk_old = heapq.heappop(heap)
+        neg_e, _, lo, hi, w, wk_old, arg = heapq.heappop(heap)
         err += neg_e  # remove this panel's error
         total -= wk_old
         mid = 0.5 * (lo + hi)
@@ -98,7 +111,7 @@ def _run_adaptive(
         for a, b in ((lo, mid), (mid, hi)):
             k, g = panel(arg, a, b)
             e = abs(k - g)
-            heapq.heappush(heap, (-e, seq, a, b, w, w * k))
+            heapq.heappush(heap, (-e, seq, a, b, w, w * k, arg))
             seq += 1
             total += w * k
             err += e
@@ -134,20 +147,33 @@ def adaptive_quad(
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod 15/7 quadrature of a scalar callable."""
     _check_tol(tol)
-    value, err, count, converged = _run_adaptive(_unary_panel, f, [(lo, hi, 1.0)], tol, budget)
+    value, err, count, converged = _run_adaptive(_unary_panel, [(lo, hi, 1.0, f)], tol, budget)
     return _result(value, err, count, converged, tol)
 
 
-def _wedge_intervals(
-    q: OverlapQuery, phi: float | None = None
-) -> list[tuple[float, float, float]]:
-    # Angular intervals beyond pi mirror the lower edge of the region,
-    # where the chord radius marks the inner boundary of the lune: those
-    # parts subtract from the sector rather than add.  phi, when given, is
-    # intersection_angle(q), already known to the caller.
-    if q.a < 1.0:
-        return [(0.0, intersection_angle(q) if phi is None else phi, 1.0)]
-    return [(lo, hi, -1.0 if lo >= PI else 1.0) for lo, hi in angular_region(q)]
+def _wedge_intervals(a: float, eps: float, phi: float):
+    # (panel, intervals) of the wedge integral for a band point with
+    # intersection angle phi.  Up to the unit distance: [0, phi] in theta,
+    # broken at pi/2.  Beyond it, the angular region of
+    # geometry.angular_region in tau about its turning angle: [pi - alpha,
+    # phi] and [2pi - alpha, 2pi] while a^2 < 1 + eps^2, [phi + pi, 2pi]
+    # after.  Parts beyond pi mirror the lower edge of the region, where
+    # the chord radius marks the inner boundary of the lune: they subtract.
+    if a < 1.0:
+        if phi > HALF_PI:
+            return wedge_panel, [(0.0, HALF_PI, 1.0, a), (HALF_PI, phi, 1.0, a)]
+        return wedge_panel, [(0.0, phi, 1.0, a)]
+    if a == 1.0:
+        return wedge_panel, [(HALF_PI, phi, 1.0, a)]
+    alpha = math.asin(1.0 / a)
+    top = math.sqrt(alpha)
+    lower = PI - alpha
+    # phi - (pi - alpha) = (phi + pi) - (2pi - alpha) >= 0, zero at the seam
+    cut = math.sqrt(max(phi - lower, 0.0))
+    upper_turn = (TWO_PI - alpha, a)
+    if a * a < 1.0 + eps * eps:
+        return wedge_panel_turn, [(0.0, top, -1.0, upper_turn), (0.0, cut, 1.0, (lower, a))]
+    return wedge_panel_turn, [(cut, top, -1.0, upper_turn)]
 
 
 def quad_wedge(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET) -> QuadResult:
@@ -156,9 +182,8 @@ def quad_wedge(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET
     _check_tol(tol)
     if q.a < 1.0 - q.eps - 1e-12 or q.a > 1.0 + q.eps + 1e-12:
         raise DomainError(f"a = {q.a} outside the overlap band for eps = {q.eps}")
-    value, err, count, converged = _run_adaptive(
-        wedge_panel, q.a, _wedge_intervals(q), tol * EIGHT_PI, budget
-    )
+    panel, intervals = _wedge_intervals(q.a, q.eps, intersection_angle(q))
+    value, err, count, converged = _run_adaptive(panel, intervals, tol * EIGHT_PI, budget)
     return _result(value / EIGHT_PI, err / EIGHT_PI, count, converged, tol)
 
 
@@ -177,9 +202,8 @@ def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET)
     # inside the open band: quad_wedge's band check cannot fail here
     phi = intersection_angle(q)
     sector = (PI - phi) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
-    value, err, count, converged = _run_adaptive(
-        wedge_panel, q.a, _wedge_intervals(q, phi), 0.5 * tol * EIGHT_PI, budget
-    )
+    panel, intervals = _wedge_intervals(q.a, e, phi)
+    value, err, count, converged = _run_adaptive(panel, intervals, 0.5 * tol * EIGHT_PI, budget)
     return _result(
         sector + 2.0 * (value / EIGHT_PI), 2.0 * (err / EIGHT_PI), count, converged, tol
     )
@@ -195,7 +219,7 @@ def quad_cos_log(
         raise DomainError(f"modulus must lie in (0, 1], got {a}")
     if not 0.0 <= phi <= PI + 1e-12:
         raise DomainError(f"angle {phi} outside [0, pi]")
-    value, err, count, converged = _run_adaptive(cos_log_panel, a, [(0.0, phi, 1.0)], tol, budget)
+    value, err, count, converged = _run_adaptive(cos_log_panel, [(0.0, phi, 1.0, a)], tol, budget)
     return _result(value, err, count, converged, tol)
 
 

@@ -91,9 +91,57 @@ class TestWedgePanel:
         assert kern.wedge_panel(a, lo, hi) == kern._panel(kern._wedge_f, a, lo, hi)
 
 
+def _turn_f(tau, arg):
+    # the wedge integrand in tau = sqrt(theta - theta_t)
+    theta_t, a = arg
+    return 2.0 * tau * kern._wedge_f(theta_t + tau * tau, a)
+
+
+class TestWedgePanelTurn:
+    # wedge_panel_turn writes _turn_f out inline; it must stay
+    # bit-identical to the generic panel over _turn_f
+
+    @given(
+        a=st.floats(min_value=1.0, max_value=1.5, exclude_min=True),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        v=st.floats(min_value=0.0, max_value=1.0),
+        upper=st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_generic_panel(self, a, u, v, upper):
+        # tau in [0, sqrt(2 alpha)] spans the chord domain past either
+        # turning angle
+        alpha = math.asin(1.0 / a)
+        arg = ((2.0 * PI if upper else PI) - alpha, a)
+        top = math.sqrt(2.0 * alpha)
+        lo, hi = top * u, top * v
+        assert kern.wedge_panel_turn(arg, lo, hi) == kern._panel(_turn_f, arg, lo, hi)
+
+    @pytest.mark.parametrize("a", [1.003, 1.05, 1.4])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_node_at_turning_angle(self, a, upper):
+        # a panel centred on tau = 0 evaluates the turning angle itself
+        alpha = math.asin(1.0 / a)
+        arg = ((2.0 * PI if upper else PI) - alpha, a)
+        top = math.sqrt(alpha)
+        assert kern.wedge_panel_turn(arg, -top, top) == kern._panel(_turn_f, arg, -top, top)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.4), (-0.3, 0.3), (0.1, 0.2)])
+    def test_discriminant_clamp(self, lo, hi):
+        # theta_t below the turning angle pi - alpha: 1 - a^2 sin^2 < 0 at
+        # the first nodes and is clamped to 0
+        a = 1.25
+        arg = (PI - math.asin(1.0 / a) - 0.05, a)
+        thetas = [arg[0] + t * t for t in _panel_nodes(lo, hi)]
+        assert any(1.0 - (a * math.sin(t)) ** 2 < 0.0 for t in thetas)
+        assert kern.wedge_panel_turn(arg, lo, hi) == kern._panel(_turn_f, arg, lo, hi)
+
+
 class TestGolden:
     # pinned QuadResults: a change to the panels or to the adaptive
-    # driver's set-up must leave every field bit-identical
+    # driver's set-up must leave every field bit-identical.  Rows with
+    # a > 1 integrate in tau about the turning angle; the two budget-3
+    # rows stop one panel short of convergence.
     @pytest.mark.parametrize(
         "fn,a,e,kwargs,want",
         [
@@ -102,21 +150,21 @@ class TestGolden:
             (quad_lune, 1.0, 0.1, {},
              QuadResult(-0.006866589699114386, 3.0741323237732393e-13, 4, True)),
             (quad_lune, 1.003, 0.1, {},
-             QuadResult(-0.006554032568505087, 7.319695382902754e-13, 26, True)),
+             QuadResult(-0.006554032568462885, 7.16845853680024e-15, 4, True)),
             (quad_lune, 1.05, 0.1, {},
-             QuadResult(-0.0023838531929550343, 1.9144067848322938e-15, 3, True)),
+             QuadResult(-0.0023838531929550296, 3.669645029785201e-13, 1, True)),
             (quad_lune, 0.9997, 0.001, {},
              QuadResult(-2.5756492839743205e-06, 4.862422339876883e-14, 2, True)),
             (quad_lune, 0.8, 0.5, {},
              QuadResult(-0.11306506237377444, 1.4362413105336571e-13, 2, True)),
-            (quad_lune, 1.003, 0.1, {"budget": 5},
-             QuadResult(-0.006554059521623475, 4.548832531037725e-07, 5, False)),
+            (quad_lune, 1.003, 0.1, {"budget": 3},
+             QuadResult(-0.006554032568462885, 1.702246027022781e-11, 3, False)),
             (quad_wedge, 0.97, 0.05, {},
              QuadResult(-0.0003716444965633194, 4.0125596249731307e-13, 1, True)),
             (quad_wedge, 1.02, 0.05, {},
-             QuadResult(0.00028342586458151615, 4.692344864162306e-15, 3, True)),
-            (quad_wedge, 1.003, 0.1, {"budget": 5},
-             QuadResult(4.802761834189985e-05, 2.2744162655188625e-07, 5, False)),
+             QuadResult(0.000283425864581517, 1.4840814636427975e-13, 1, True)),
+            (quad_wedge, 1.003, 0.1, {"budget": 3},
+             QuadResult(4.804109492219522e-05, 8.511230135113905e-12, 3, False)),
         ],
     )
     def test_lune_and_wedge(self, fn, a, e, kwargs, want):
@@ -217,6 +265,53 @@ class TestQuadLune:
             env = 0.25 * e * e * (1.0 - math.log(e * e)) + 1e-12
             for a in np.linspace(0.0, 1.0 + e, 40):
                 assert abs(quad_lune(OverlapQuery(float(a), e), 1e-11).value) <= env
+
+
+class TestHonestConvergence:
+    # converged=True must mean the 1e-12 tolerance was met
+
+    def test_beyond_unit_distance(self):
+        # seeded band points beyond the unit distance plus, at 25 radii,
+        # the ulp past 1, the seam a^2 = 1 + eps^2 with its ulp and 1e-9
+        # relative neighbours, and the ulp below 1 + eps
+        from mp_reference import potential
+
+        rng = np.random.default_rng(20261018)
+        eps = np.exp(rng.uniform(math.log(1e-6), math.log(0.5), 500))
+        pts = list(zip((1.0 + eps * rng.random(500)).tolist(), eps.tolist()))
+        for e in np.geomspace(1e-6, 0.5, 25).tolist():
+            seam = math.sqrt(1.0 + e * e)
+            for a in (
+                math.nextafter(1.0, 2.0),
+                seam,
+                math.nextafter(seam, 0.0),
+                math.nextafter(seam, 2.0),
+                seam * (1.0 - 1e-9),
+                seam * (1.0 + 1e-9),
+                math.nextafter(1.0 + e, 0.0),
+            ):
+                pts.append((a, e))
+        pts = [(a, e) for a, e in pts if 1.0 < a < 1.0 + e]
+        assert len(pts) > 600
+        off = []
+        for a, e in pts:
+            res = quad_lune(OverlapQuery(a, e), 1e-12)
+            assert res.converged
+            err = abs(res.value - float(potential(a, e)))
+            if err > 1e-12:
+                off.append((a, e, err))
+        assert off == []
+
+    @pytest.mark.parametrize("a", [math.nextafter(1.0, 0.0), 1.0 - 1e-12])
+    @pytest.mark.parametrize("e", [0.3, 0.01, 1e-3, 1e-4])
+    def test_layer_past_half_pi(self, a, e):
+        # just below the unit distance the integrand lives in a thin layer
+        # past pi/2, which one panel over [0, phi] misses
+        from mp_reference import potential
+
+        res = quad_lune(OverlapQuery(a, e), 1e-12)
+        assert res.converged
+        assert abs(res.value - float(potential(a, e))) <= 1e-12
 
 
 class TestQuadCosLog:
