@@ -1,14 +1,13 @@
 """lunepot: potential of the overlap of a unit disc with a small disc.
 
 Closed-form evaluation of the logarithmic-kernel (Newtonian) potential of
-the indicator of the overlap region, with small-radius series for stable
-double-precision evaluation and an adaptive-quadrature oracle for
-self-validation.
+the indicator of the overlap region, stable in double precision at every
+radius, with the small-radius series of the paper and an
+adaptive-quadrature oracle for self-validation.
 """
 
 from ._backend import backend_name
 from .asymptotic import (
-    DISPATCH_THRESHOLD,
     BandCoefficients,
     BandPoint,
     band_angle_series,
@@ -65,7 +64,6 @@ __all__ = [
     "AccuracyWarning",
     "BandCoefficients",
     "BandPoint",
-    "DISPATCH_THRESHOLD",
     "DomainError",
     "EpsilonRangeWarning",
     "IntersectionGeometry",

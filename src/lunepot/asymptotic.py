@@ -1,5 +1,5 @@
-"""Small-radius machinery: band reparametrisation, series expansions, and
-the numerically stable evaluator.
+"""Small-radius machinery: band reparametrisation and the series
+expansions of the paper.
 
 The overlap band [1-eps, 1+eps] is mapped to the unit interval by
 lam = (a-1)/(2*eps) + 1/2.  The rescaled core quantity
@@ -8,16 +8,19 @@ lam = (a-1)/(2*eps) + 1/2.  The rescaled core quantity
 
 (with G the angular primitive at the reduced half-angle) admits two-term
 and three-term expansions in eps on the two sides of the crossover
-a^2 = 1 + eps^2.  For radii at or below the dispatch threshold the exact
-closed form cancels catastrophically in double precision, so
-``lune_potential_stable`` rebuilds the wedge term from the series: the
-wedge equals H~ itself up to the unit distance and
+a^2 = 1 + eps^2.  ``lune_potential_series`` (and its array form) is the
+series route: the sector plus the wedge term rebuilt from the inner
+expansion, which equals H~ itself up to the unit distance and
 
     F = H~ + (1 - a^2)/8 + log(a)/4
 
 beyond it, where H~ is the inner expansion evaluated with the first-case
 half-angle data (valid across the whole band) and the extra terms are
 computed cancellation-free from x = a - 1.
+
+The stable evaluator needs no series: ``closed_form`` evaluates the wedge
+without cancellation, to about 1e-16 of eps^2*|log eps^2| at every radius,
+so ``lune_potential_stable`` is ``closed_form.lune_potential`` itself.
 """
 
 from __future__ import annotations
@@ -35,21 +38,17 @@ from .closed_form import (
     _second_case_parts,
     _wedge_branch_value_array,
     lune_potential,
-    lune_potential_array,
     wedge_branch_value,
 )
 from .errors import DomainError
-from .geometry import OverlapQuery, check_queries
+from .geometry import OverlapQuery, check_queries, intersection_angle
 
 PI = math.pi
 EIGHT_PI = 8.0 * PI
 
-DISPATCH_THRESHOLD = 1e-5
-
 __all__ = [
     "BandPoint",
     "BandCoefficients",
-    "DISPATCH_THRESHOLD",
     "to_band",
     "from_band",
     "band_core",
@@ -57,8 +56,9 @@ __all__ = [
     "band_core_series",
     "unit_wedge_series",
     "band_angle_series",
+    "lune_potential_series",
+    "lune_potential_series_array",
     "lune_potential_stable",
-    "lune_potential_stable_array",
     "profile_value",
     "profile_values",
     "band_profile",
@@ -199,11 +199,10 @@ def band_angle_series(p: BandPoint) -> float:
 
 
 def _stable_wedge(a: float, e: float) -> float:
-    # series-based wedge term; valid for any eps, used below the dispatch
-    # threshold where the exact closed form cancels away in doubles.  The
-    # series gives the core H~ = (G - pi*(1-a^2))/(8*pi) directly; beyond
-    # the unit distance the wedge adds (1-a^2)/8 + log(a)/4, both computed
-    # cancellation-free from x = a - 1.
+    # series-based wedge term: the inner expansion gives the core
+    # H~ = (G - pi*(1-a^2))/(8*pi) directly; beyond the unit distance the
+    # wedge adds (1-a^2)/8 + log(a)/4, both computed cancellation-free from
+    # x = a - 1.
     lam = 0.5 + 0.5 * (a - 1.0) / e
     lam = min(max(lam, 0.0), 1.0)
     ht = _inner_series(lam, e)
@@ -228,67 +227,39 @@ def _stable_wedge_array(a: np.ndarray, e: float) -> np.ndarray:
     return np.where(a > 1.0, ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x, ht)
 
 
-def lune_potential_stable(
-    q: OverlapQuery, threshold: float = DISPATCH_THRESHOLD
-) -> float:
-    """Overlap potential with a stable small-radius path.
+# The stable evaluator is the exact closed form at every radius.
+lune_potential_stable = lune_potential
 
-    For eps above the threshold this delegates to the exact closed form
-    bit-for-bit.  At or below it, the wedge term is rebuilt from the band
-    series so the result stays finite and accurate down to radii where the
-    exact path is pure cancellation noise.
-    """
-    e = q.eps
-    if e > threshold:
-        return lune_potential(q)
-    a = q.a
+
+def lune_potential_series(q: OverlapQuery) -> float:
+    """Overlap potential through the paper's series route (``--mode
+    asymptotic``): ``lune_potential`` off the band, and on it the exact
+    sector plus the wedge term from the inner expansion.  Its error falls
+    with the radius, about 2e-7 of eps^2*|log eps^2| at eps = 1e-5."""
+    a, e = q.a, q.eps
+    if not -e < a - 1.0 < e:
+        return lune_potential(q)  # the nested constant or 0
     e2 = e * e
-    if a <= 1.0 - e:
-        return 0.25 * e2 * (math.log(e2) - 1.0)
-    if a >= 1.0 + e:
-        return 0.0
-    x = a - 1.0
-    cos_phi = (-x * (2.0 + x) - e2) / (2.0 * a * e)
-    cos_phi = min(max(cos_phi, -1.0), 1.0)
-    prod = max(x + e, 0.0) * (a + 1.0 + e) * max(e - x, 0.0) * (1.0 + a - e)
-    sin_phi = math.sqrt(prod) / (2.0 * a * e)
-    phi = math.atan2(sin_phi, cos_phi)
-    f = _stable_wedge(a, e)
-    return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + 8.0 * f)
+    phi = intersection_angle(q)
+    return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + 8.0 * _stable_wedge(a, e))
 
 
-def lune_potential_stable_array(
-    a, eps: float, threshold: float = DISPATCH_THRESHOLD
-) -> np.ndarray:
-    """``lune_potential_stable`` over an array of centre distances at one
-    radius: ``closed_form.lune_potential_array`` above the threshold, the
-    band series at or below it, lane for lane.  Checks the radius, then the
-    distances, as ``lune_potential_array`` does.
-    """
-    if not eps <= threshold:  # a NaN radius too: the closed form rejects it
-        return lune_potential_array(a, eps)
-    return _potential_array(check_queries(a, eps), eps, _stable_wedge_array)
+def lune_potential_series_array(a, eps: float) -> np.ndarray:
+    """``lune_potential_series`` over an array of centre distances at one
+    radius, lane for lane.  Checks the radius, then the distances, as
+    ``closed_form.lune_potential_array`` does."""
+    return _potential_array(check_queries(a, eps), eps, _stable_wedge_array)[0]
 
 
 def profile_value(a: float, eps: float) -> float:
-    """Branch value of the wedge term used by the scaled band profile,
-    through the exact path above the dispatch threshold and the series
-    below it."""
-    if eps > DISPATCH_THRESHOLD:
-        return wedge_branch_value(OverlapQuery(a, eps))
-    if a <= 1.0:
-        return _stable_wedge(a, eps)
-    return -_stable_wedge(a, eps)
+    """Branch value of the wedge term used by the scaled band profile."""
+    return wedge_branch_value(OverlapQuery(a, eps))
 
 
 def profile_values(a: np.ndarray, eps: float) -> np.ndarray:
     """``profile_value`` over an array of band centre distances, as one
-    array evaluation on either side of the dispatch threshold."""
-    a = np.asarray(a, dtype=float)
-    if eps > DISPATCH_THRESHOLD:
-        return _wedge_branch_value_array(a, eps)
-    w = _stable_wedge_array(a, eps)
-    return np.where(a > 1.0, -w, w)
+    array evaluation."""
+    return _wedge_branch_value_array(np.asarray(a, dtype=float), eps)
 
 
 def band_profile(eps: float, grid_n: int):

@@ -23,25 +23,23 @@ import numpy as np
 from . import checks as _checks
 from ._backend import backend_name
 from .asymptotic import (
-    DISPATCH_THRESHOLD,
     band_profile,
-    lune_potential_stable,
-    lune_potential_stable_array,
+    lune_potential_series,
+    lune_potential_series_array,
     profile_values,
 )
+from .closed_form import lune_potential, lune_potential_array, lune_potential_profile_array
 from .errors import DomainError, EpsilonRangeWarning
 from .geometry import REGIMES, OverlapQuery, check_queries, classify_regime, classify_regimes
 from .quadrature import MIN_TOL, quad_lune
 
 # cli's former calls into other layers; perfbench/tracing.py still wraps
 # them under these names, so they stay importable from here
-from .asymptotic import from_band, profile_value  # noqa: F401
-from .closed_form import lune_potential  # noqa: F401
+from .asymptotic import from_band, lune_potential_stable, profile_value  # noqa: F401
 
+# "stable" is an alias of "exact": the closed form is the stable evaluator.
+# "asymptotic" runs the paper's series route.
 MODES = ("exact", "stable", "asymptotic", "oracle")
-# dispatch threshold of the stable evaluators per mode: the closed form at
-# every radius, the series at or below DISPATCH_THRESHOLD, the series always
-_THRESHOLDS = {"exact": 0.0, "stable": DISPATCH_THRESHOLD, "asymptotic": math.inf}
 _REGIME_NAMES = np.array([r.value for r in REGIMES])
 
 
@@ -95,8 +93,10 @@ def _write_text(path: str, text: str) -> int:
 
 
 def _evaluate(q: OverlapQuery, mode: str, tol: float) -> tuple[float, float | None]:
+    if mode == "asymptotic":
+        return lune_potential_series(q), None
     if mode != "oracle":
-        return lune_potential_stable(q, threshold=_THRESHOLDS[mode]), None
+        return lune_potential(q), None
     res = quad_lune(q, tol)
     return res.value, res.err_estimate
 
@@ -112,16 +112,21 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_values(spec: SweepSpec, grid: np.ndarray, band_profile_scaling: bool):
-    # (values, branch-value profile or None): one array evaluation each,
-    # but the oracle goes point by point, after the same checks and warning
+    # (values, branch-value profile or None) from array evaluations, the
+    # exact path sharing one wedge between them; the oracle goes point by
+    # point, after the same checks and warning
     eps = spec.eps
     if spec.mode == "oracle":
         points = check_queries(grid, eps).tolist()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EpsilonRangeWarning)
             values = np.array([quad_lune(OverlapQuery(a, eps), spec.tol).value for a in points])
+    elif spec.mode == "asymptotic":
+        values = lune_potential_series_array(grid, eps)
+    elif band_profile_scaling:
+        return lune_potential_profile_array(grid, eps)
     else:
-        values = lune_potential_stable_array(grid, eps, _THRESHOLDS[spec.mode])
+        return lune_potential_array(grid, eps), None
     return values, profile_values(grid, eps) if band_profile_scaling else None
 
 

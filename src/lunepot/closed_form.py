@@ -22,8 +22,10 @@ The wedge term itself is evaluated without the kernel dilogarithm: with
 z = -a*e^(2i*Phi), the reflection Li2(z) = pi^2/6 - log z*log(1-z) - Li2(1-z)
 and a Bernoulli series for Li2(1-z) - (1-z) give every piece of
 G(a, Phi) - pi*(1 - a^2) at the size of the result, O(eps^2*log eps), instead
-of as the difference of O(1) values.  One set of helpers serves the scalar
-``lune_potential`` and the array ``lune_potential_array``.
+of as the difference of O(1) values, accurate to about 1e-16 of
+eps^2*|log eps^2| at every radius.  The scalar ``lune_potential`` sums its
+series inline and calls nothing in ``geometry``; ``lune_potential_array``
+runs the same formulas over arrays.
 """
 
 from __future__ import annotations
@@ -41,12 +43,14 @@ from .errors import AccuracyWarning, DomainError
 from .geometry import (
     CLAMP_SLACK,
     OverlapQuery,
-    Regime,
     check_queries,
-    classify_regime,
     intersection_angle,
     intersection_angle_array,
 )
+
+# perfbench/tracing.py wraps this former call of lune_potential under this
+# name, so it stays importable from here
+from .geometry import classify_regime  # noqa: F401
 
 PI = math.pi
 EIGHT_PI = 8.0 * PI
@@ -61,6 +65,7 @@ __all__ = [
     "wedge_term_via",
     "lune_potential",
     "lune_potential_array",
+    "lune_potential_profile_array",
     "disc_potential",
 ]
 
@@ -285,62 +290,91 @@ def _im_li2_excess_taylor(z, log_z, log_w):
     return -(log_z * log_w).imag - (z * _LI2_TAYLOR(z)).imag - (1.0 - z).imag
 
 
-def _reduced_primitive(a, x, m, s2, theta, psi, log_w_abs, im_excess):
-    # G(a, Phi) - pi*(1 - a^2) in the regrouped form above; floats or arrays
-    t2 = theta * theta
-    return (
-        -m * psi
-        - x * (2.0 + x) * theta
-        - 2.0 * log_w_abs * (theta * t2 * _SIN_TAIL(t2) + x * s2)
-        - 2.0 * im_excess
-    )
+# The scalar series are summed inline, Horner's rule over the cut tables.
+_LI2_BOUNDS, _LI2_REV = _LI2_EXCESS._bounds, _LI2_EXCESS._reversed
+_SIN_BOUNDS, _SIN_REV = _SIN_TAIL._bounds, _SIN_TAIL._reversed
+_LOG1P_BOUNDS, _LOG1P_REV = _LOG1P_TAIL._bounds, _LOG1P_TAIL._reversed
 
 
-def _wedge(a: float, e: float) -> float:
-    # sin(2*Phi) is factored through x +/- e, exact at the band edges, and
-    # d = Re w = 1 + a*c2 is formed from x as well.  The edges a = 1 -/+ eps
-    # themselves belong to the nested and outside regimes (classify_regime),
-    # where the wedge is zero; just inside them it is O(sqrt(distance)).
-    if a <= 1.0 - e or a >= 1.0 + e:
-        return 0.0
-    x = a - 1.0
-    c2 = (e * e - 1.0 - a * a) / (2.0 * a)
-    prod = (2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x)
-    s2 = math.sqrt(prod) / (2.0 * a) if prod > 0.0 else 0.0
-    theta = math.atan2(-s2, -c2)
-    psi = math.atan2(a * s2, 0.5 * (e * e - x * (2.0 + x)))
+def _band_wedge(a: float, x: float, e: float, root: float) -> float:
+    # 8*pi times the wedge term at x = a - 1 in (-e, e): the regrouped form
+    # above, plus pi*m beyond the unit distance.  root = 2a*s2 is the square
+    # root of (2 + x - e)(2 + x + e)(x + e)(e - x), exact at the band edges;
+    # theta and psi are its atan2 against -2a*c2 = 2 + q2 - e^2 and
+    # 2*Re w = e^2 - q2, with q2 = a^2 - 1.
+    e2 = e * e
+    q2 = x * (2.0 + x)
+    theta = math.atan2(-root, 2.0 + q2 - e2)
+    psi = math.atan2(root, e2 - q2)
     log_e = math.log(e)
-    log_z = math.log1p(x) + 1j * theta
-    if a < 0.5:
-        im = _im_li2_excess_taylor(-a * complex(c2, s2), log_z, log_e + 1j * psi)
+    l1p = math.log1p(x)
+    if abs(x) < _LOG1P_SERIES_MAX:
+        acc = 0.0
+        for c in _LOG1P_REV[bisect_left(_LOG1P_BOUNDS, abs(x))]:
+            acc = acc * x + c
+        m = 2.0 * (x * x * acc) - x * x
     else:
-        im = _im_li2_excess(-log_z)
-    m = 2.0 * _log1p_minus_x(x) - x * x
-    g = _reduced_primitive(a, x, m, s2, theta, psi, log_e, im)
-    if x > 0.0:
-        g += PI * m
-    return g / EIGHT_PI
+        m = 2.0 * (l1p - x) - x * x
+    if a < 0.5:
+        z = complex(0.5 * (2.0 + q2 - e2), -0.5 * root)
+        im = _im_li2_excess_taylor(z, complex(l1p, theta), complex(log_e, psi))
+    else:
+        u = complex(-l1p, -theta)
+        acc = 0.0
+        for c in _LI2_REV[bisect_left(_LI2_BOUNDS, abs(u))]:
+            acc = acc * u + c
+        im = (u * u * acc).imag
+    t2 = theta * theta
+    tail = 0.0
+    for c in _SIN_REV[bisect_left(_SIN_BOUNDS, t2)]:
+        tail = tail * t2 + c
+    s2 = root / (2.0 * a)
+    g = -m * psi - q2 * theta - 2.0 * log_e * (theta * t2 * tail + x * s2) - 2.0 * im
+    return g + PI * m if x > 0.0 else g
 
 
-def _wedge_array(a: np.ndarray, e: float) -> np.ndarray:
-    # _wedge over an array of band centre distances, lane for lane
-    x = a - 1.0
-    c2 = (e * e - 1.0 - a * a) / (2.0 * a)
-    prod = (2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x)
-    s2 = np.sqrt(np.maximum(prod, 0.0)) / (2.0 * a)
-    theta = np.arctan2(-s2, -c2)
-    psi = np.arctan2(a * s2, 0.5 * (e * e - x * (2.0 + x)))
-    log_e = math.log(e)
+def _band_wedge_array(a, x, e, root):
+    # _band_wedge over arrays, lane for lane; e a float or an array
+    e2 = e * e
+    q2 = x * (2.0 + x)
+    theta = np.arctan2(-root, 2.0 + q2 - e2)
+    psi = np.arctan2(root, e2 - q2)
+    log_e = np.log(e)
     log_z = np.log1p(x) + 1j * theta
     im = _im_li2_excess(-log_z)
     low = a < 0.5
     if low.any():
-        z = -a[low] * (c2[low] + 1j * s2[low])
-        im[low] = _im_li2_excess_taylor(z, log_z[low], log_e + 1j * psi[low])
+        z = (0.5 * (2.0 + q2 - e2) - 0.5j * root)[low]
+        im[low] = _im_li2_excess_taylor(z, log_z[low], (log_e + 1j * psi)[low])
     m = 2.0 * _log1p_minus_x(x) - x * x
-    g = _reduced_primitive(a, x, m, s2, theta, psi, log_e, im)
-    g += np.where(x > 0.0, PI * m, 0.0)
-    return np.where((a > 1.0 - e) & (a < 1.0 + e), g / EIGHT_PI, 0.0)
+    t2 = theta * theta
+    s2 = root / (2.0 * a)
+    g = -m * psi - q2 * theta - 2.0 * log_e * (theta * t2 * _SIN_TAIL(t2) + x * s2) - 2.0 * im
+    return np.where(x > 0.0, g + PI * m, g)
+
+
+def _wedge(a: float, e: float) -> float:
+    # The band edges x = -/+ eps belong to the nested and outside regimes
+    # (classify_regime), where the wedge is zero; just inside them it is
+    # O(sqrt(distance)).
+    x = a - 1.0
+    if x <= -e or x >= e:
+        return 0.0
+    root = math.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
+    return _band_wedge(a, x, e, root) / EIGHT_PI
+
+
+def _wedge_array(a: np.ndarray, e: float) -> np.ndarray:
+    # _wedge over an array of centre distances, lane for lane; 0 off the
+    # open band
+    x = a - 1.0
+    band = (x > -e) & (x < e)
+    w = np.zeros(a.shape)
+    if band.any():
+        a, x = a[band], x[band]
+        root = np.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
+        w[band] = _band_wedge_array(a, x, e, root) / EIGHT_PI
+    return w
 
 
 def _wedge_branch_value(a: float, e: float) -> float:
@@ -353,36 +387,32 @@ def _wedge_branch_value(a: float, e: float) -> float:
     # (G(a, Phi) - 2*pi*log a)/(8*pi) - G_turn/(4*pi) = wedge - (R + pi*m)/(4*pi),
     # with G_turn the primitive at the turning half-angle (pi + 2*asin(1/a))/4
     # and R = G_turn - pi*(1 - a^2).  There z = 1 - i*q, q = sqrt(x*(2 + x)),
-    # so theta = -atan(q), w = i*q and s2 = q/a.
+    # so theta = -atan(q), w = i*q and s2 = q/a: R + pi*m is _band_wedge
+    # with |w| = q in place of eps and root = 2*a*s2 = 2*q.
     if a <= 1.0:
         return _wedge(a, e)
     x = a - 1.0
     q2 = x * (2.0 + x)
     if q2 < e * e:
         q = math.sqrt(q2)
-        theta = -math.atan(q)
-        m = 2.0 * _log1p_minus_x(x) - x * x
-        im = _im_li2_excess(-(math.log1p(x) + 1j * theta))
-        r = _reduced_primitive(a, x, m, q / a, theta, 0.5 * PI, math.log(q), im)
-        return _wedge(a, e) - (r + PI * m) / (4.0 * PI)
+        return _wedge(a, e) - _band_wedge(a, x, q, 2.0 * q) / (4.0 * PI)
     return -_wedge(a, e)
 
 
 def _wedge_branch_value_array(a: np.ndarray, e: float) -> np.ndarray:
     # _wedge_branch_value over an array of band centre distances
-    a = np.clip(a, 1.0 - e, 1.0 + e)
-    w = _wedge_array(a, e)
+    return _branch_from_wedge(a, e, _wedge_array(a, e))
+
+
+def _branch_from_wedge(a: np.ndarray, e: float, w: np.ndarray) -> np.ndarray:
+    # the branch value from the wedge w at the same distances
     x = a - 1.0
     out = np.where(x > 0.0, -w, w)
     near = (x > 0.0) & (x * (2.0 + x) < e * e)
     if near.any():
         a, x = a[near], x[near]
         q = np.sqrt(x * (2.0 + x))
-        theta = -np.arctan(q)
-        m = 2.0 * _log1p_minus_x(x) - x * x
-        im = _im_li2_excess(-(np.log1p(x) + 1j * theta))
-        r = _reduced_primitive(a, x, m, q / a, theta, 0.5 * PI, np.log(q), im)
-        out[near] = w[near] - (r + PI * m) / (4.0 * PI)
+        out[near] = w[near] - _band_wedge_array(a, x, q, 2.0 * q) / (4.0 * PI)
     return out
 
 
@@ -400,8 +430,7 @@ def wedge_term(q: OverlapQuery) -> float:
     and is continuous across the interior thresholds.
     """
     _require_band(q)
-    a = min(max(q.a, 1.0 - q.eps), 1.0 + q.eps)
-    return _wedge(a, q.eps)
+    return _wedge(q.a, q.eps)
 
 
 def wedge_branch_value(q: OverlapQuery) -> float:
@@ -414,8 +443,7 @@ def wedge_branch_value(q: OverlapQuery) -> float:
     Used by the band-profile diagnostics only.
     """
     _require_band(q)
-    a = min(max(q.a, 1.0 - q.eps), 1.0 + q.eps)
-    return _wedge_branch_value(a, q.eps)
+    return _wedge_branch_value(q.a, q.eps)
 
 
 def wedge_term_reordered(q: OverlapQuery) -> float:
@@ -447,17 +475,22 @@ def lune_potential(q: OverlapQuery) -> float:
     query point.
 
     Constant eps^2*(log eps^2 - 1)/4 while the small disc is nested, zero
-    once the discs separate, and sector-plus-wedge in between.
+    once the discs separate, and sector-plus-wedge in between, the regime
+    read off x = a - 1.  Stable at every radius: ``lune_potential_stable``
+    is this function.
     """
-    regime = classify_regime(q)
+    a = q.a
     e = q.eps
+    x = a - 1.0
     e2 = e * e
-    if regime is Regime.NESTED:
+    if x <= -e:
         return 0.25 * e2 * (math.log(e2) - 1.0)
-    if regime is Regime.OUTSIDE:
+    if x >= e:
         return 0.0
-    phi = intersection_angle(q)
-    return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + 8.0 * _wedge(q.a, e))
+    root = math.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
+    # the sector angle: sin and cos of intersection_angle times 2*a*eps
+    phi = math.atan2(root, -(x * (2.0 + x) + e2))
+    return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + _band_wedge(a, x, e, root) / PI)
 
 
 def lune_potential_array(a, eps: float) -> np.ndarray:
@@ -468,22 +501,33 @@ def lune_potential_array(a, eps: float) -> np.ndarray:
     rounding.  Raises DomainError for a radius outside (0, 1), then for a
     negative or non-finite distance, and warns once for a radius above 1/2.
     """
-    return _potential_array(check_queries(a, eps), eps, _wedge_array)
+    return _potential_array(check_queries(a, eps), eps, _wedge_array)[0]
 
 
-def _potential_array(a: np.ndarray, e: float, wedge_array) -> np.ndarray:
-    # the nested constant, 0 outside, and on the open band the sector plus
-    # 8 times the wedge from ``wedge_array``; ``a`` is already checked
+def lune_potential_profile_array(a, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``lune_potential_array`` and ``asymptotic.profile_values`` over the
+    same centre distances, from one evaluation of the wedge."""
+    a = check_queries(a, eps)
+    values, wedge = _potential_array(a, eps, _wedge_array)
+    return values, _branch_from_wedge(a, eps, wedge)
+
+
+def _potential_array(a: np.ndarray, e: float, wedge_array):
+    # (values, wedge): the nested constant, 0 outside, and on the open band
+    # the sector plus 8 times the wedge from ``wedge_array``, with that
+    # wedge (0 off the band); ``a`` is already checked
+    x = a - 1.0
     e2 = e * e
     out = np.zeros(a.shape)
-    out[a <= 1.0 - e] = 0.25 * e2 * (math.log(e2) - 1.0)
-    band = (a > 1.0 - e) & (a < 1.0 + e)
+    out[x <= -e] = 0.25 * e2 * (math.log(e2) - 1.0)
+    wedge = np.zeros(a.shape)
+    band = (x > -e) & (x < e)
     if band.any():
         ab = a[band]
         phi = intersection_angle_array(ab, e)
-        sector = (PI - phi) / PI * e2 * (math.log(e2) - 1.0)
-        out[band] = 0.25 * (sector + 8.0 * wedge_array(ab, e))
-    return out
+        wedge[band] = w = wedge_array(ab, e)
+        out[band] = 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + 8.0 * w)
+    return out, wedge
 
 
 def lune_potential_point(point, eps: float) -> float:

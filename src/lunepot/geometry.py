@@ -116,18 +116,20 @@ def newtonian_kernel(r: float) -> float:
 def classify_regime(q: OverlapQuery) -> Regime:
     """Unique branch tag for a query.
 
-    Boundary conventions: the nested and outside intervals are closed, the
-    unit distance is its own tag, and the tie a^2 == 1 + eps^2 falls to the
-    far overlap branch.
+    Boundary conventions, on x = a - 1 (exact for a in [1/2, 2]) and not
+    on the rounded 1 -/+ eps: the nested (x <= -eps) and outside
+    (x >= eps) intervals are closed, the unit distance is its own tag, and
+    the tie a^2 == 1 + eps^2 falls to the far overlap branch.
     """
     a, e = q.a, q.eps
-    if a <= 1.0 - e:
+    x = a - 1.0
+    if x <= -e:
         return Regime.NESTED
-    if a < 1.0:
+    if x < 0.0:
         return Regime.OVERLAP_INNER_DISC
-    if a == 1.0:
+    if x == 0.0:
         return Regime.OVERLAP_AT_UNIT
-    if a >= 1.0 + e:
+    if x >= e:
         return Regime.OUTSIDE
     if a * a < 1.0 + e * e:
         return Regime.OVERLAP_OUTER_NEAR
@@ -143,9 +145,10 @@ def classify_regimes(a: np.ndarray, eps: float) -> np.ndarray:
     point's regime."""
     a = np.asarray(a, dtype=float)
     e = eps
+    x = a - 1.0
     index = REGIMES.index
     return np.select(
-        [a <= 1.0 - e, a < 1.0, a == 1.0, a >= 1.0 + e, a * a < 1.0 + e * e],
+        [x <= -e, x < 0.0, x == 0.0, x >= e, a * a < 1.0 + e * e],
         [
             index(Regime.NESTED),
             index(Regime.OVERLAP_INNER_DISC),

@@ -12,6 +12,28 @@ import mpmath
 DIGITS = 60
 
 
+def wedge(a: float, eps: float) -> mpmath.mpf:
+    """The wedge term at the exact double inputs (0 off the open band)."""
+    with mpmath.workdps(DIGITS):
+        a = mpmath.mpf(a)
+        e = mpmath.mpf(eps)
+        if a <= 1 - e or a >= 1 + e:
+            return mpmath.mpf(0)
+        e2 = e * e
+        pi = mpmath.pi
+        c2 = (e2 - 1 - a * a) / (2 * a)
+        s2 = mpmath.sqrt(1 - c2 * c2)
+        im_li2 = mpmath.im(mpmath.polylog(2, -a * mpmath.mpc(c2, s2)))
+        g = (
+            2 * im_li2
+            + (1 - a * a) * (mpmath.atan2(s2, c2) - mpmath.atan2(a * s2, 1 + a * c2))
+            + a * (2 - mpmath.log(e2)) * s2
+        )
+        if a <= 1:
+            return (g - (1 - a * a) * pi) / (8 * pi)
+        return (g + 2 * pi * mpmath.log(a)) / (8 * pi)
+
+
 def potential(a: float, eps: float) -> mpmath.mpf:
     """E(a, eps) at the exact double inputs, to about 60 digits."""
     with mpmath.workdps(DIGITS):
@@ -23,21 +45,8 @@ def potential(a: float, eps: float) -> mpmath.mpf:
             return e2 * (log_e2 - 1) / 4
         if a >= 1 + e:
             return mpmath.mpf(0)
-        pi = mpmath.pi
         phi = mpmath.acos((1 - a * a - e2) / (2 * a * e))
-        c2 = (e2 - 1 - a * a) / (2 * a)
-        s2 = mpmath.sqrt(1 - c2 * c2)
-        im_li2 = mpmath.im(mpmath.polylog(2, -a * mpmath.mpc(c2, s2)))
-        g = (
-            2 * im_li2
-            + (1 - a * a) * (mpmath.atan2(s2, c2) - mpmath.atan2(a * s2, 1 + a * c2))
-            + a * (2 - log_e2) * s2
-        )
-        if a <= 1:
-            wedge = (g - (1 - a * a) * pi) / (8 * pi)
-        else:
-            wedge = (g + 2 * pi * mpmath.log(a)) / (8 * pi)
-        return ((pi - phi) / pi * e2 * (log_e2 - 1) + 8 * wedge) / 4
+        return ((mpmath.pi - phi) / mpmath.pi * e2 * (log_e2 - 1) + 8 * wedge(a, eps)) / 4
 
 
 def scaled_error(value: float, a: float, eps: float) -> float:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunepot.asymptotic import (
-    DISPATCH_THRESHOLD,
     BandCoefficients,
     BandPoint,
     band_angle_series,
@@ -16,8 +15,9 @@ from lunepot.asymptotic import (
     band_core_series,
     band_profile,
     from_band,
+    lune_potential_series,
+    lune_potential_series_array,
     lune_potential_stable,
-    lune_potential_stable_array,
     profile_value,
     profile_values,
     to_band,
@@ -215,7 +215,9 @@ class TestAngleSeries:
 
 class TestStablePath:
     def test_bitwise_delegation_above_threshold(self):
-        for e in (1e-4, 0.01, 0.3):
+        # the stable path is the exact closed form at every radius
+        assert lune_potential_stable is lune_potential
+        for e in (1e-14, 1e-10, 1e-6, 1e-5, 1e-4, 0.01, 0.3):
             for a in (0.5, 1.0 - e / 2, 1.0, 1.0 + e / 2, 2.0):
                 q = OverlapQuery(a, e)
                 assert lune_potential_stable(q) == lune_potential(q)
@@ -258,6 +260,18 @@ class TestStablePath:
                 assert math.isfinite(lune_potential_stable(OverlapQuery(float(a), float(e))))
 
 
+class TestSeriesRoute:
+    @pytest.mark.parametrize("e", [1e-10, 1e-12, 1e-14])
+    def test_beyond_unit_against_mpmath(self, e):
+        # the series route adds log1p(x) - x beyond the unit distance, which
+        # cancels catastrophically when formed as a difference
+        from mp_reference import scaled_error
+
+        for t in (0.1, 0.3, 0.5, 0.7, 0.9):
+            a = 1.0 + t * e
+            assert scaled_error(lune_potential_series(OverlapQuery(a, e)), a, e) <= 1e-9
+
+
 class TestStableArray:
     """The series route over arrays against the scalar series route."""
 
@@ -268,7 +282,7 @@ class TestStableArray:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_below_threshold(self, t, log_eps):
         e = math.exp(log_eps)
-        self._agree(max(1.0 + t * e, 0.0), e, DISPATCH_THRESHOLD)
+        self._agree(max(1.0 + t * e, 0.0), e)
 
     @given(
         t=st.floats(min_value=-1.5, max_value=1.5),
@@ -277,47 +291,41 @@ class TestStableArray:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_in_asymptotic_mode(self, t, log_eps):
         e = math.exp(log_eps)
-        self._agree(max(1.0 + t * e, 0.0), e, math.inf)
+        self._agree(max(1.0 + t * e, 0.0), e)
 
     @staticmethod
-    def _agree(a, e, threshold):
+    def _agree(a, e):
         bound = 1e-13 * e * e * abs(math.log(e * e))
-        got = lune_potential_stable_array(np.array([a]), e, threshold)[0]
-        assert abs(got - lune_potential_stable(OverlapQuery(a, e), threshold)) <= bound
-        if 1.0 - e <= a <= 1.0 + e and e <= DISPATCH_THRESHOLD:
+        got = lune_potential_series_array(np.array([a]), e)[0]
+        assert abs(got - lune_potential_series(OverlapQuery(a, e))) <= bound
+        if 1.0 - e <= a <= 1.0 + e:
             assert abs(profile_values(np.array([a]), e)[0] - profile_value(a, e)) <= bound
 
     def test_regimes_and_constants(self):
-        e = 1e-8
+        # a power-of-two radius, so that 1 -/+ e are the band edges exactly
+        e = 2.0**-27
         a = np.array([0.0, 0.5, 1.0 - e, 1.0, 1.0 + e, 2.0])
-        got = lune_potential_stable_array(a, e)
-        want = [lune_potential_stable(OverlapQuery(x, e)) for x in a.tolist()]
+        got = lune_potential_series_array(a, e)
+        want = [lune_potential_series(OverlapQuery(x, e)) for x in a.tolist()]
         assert np.array_equal(got[[0, 1, 2, 4, 5]], np.array(want)[[0, 1, 2, 4, 5]])
         assert got[4:].tolist() == [0.0, 0.0]
 
-    def test_delegates_above_threshold(self):
-        from lunepot.closed_form import lune_potential_array
-
-        a = np.linspace(0.9, 1.1, 41)
-        assert np.array_equal(lune_potential_stable_array(a, 0.05), lune_potential_array(a, 0.05))
-        assert np.array_equal(
-            lune_potential_stable_array(a, 0.05, threshold=0.0), lune_potential_array(a, 0.05)
-        )
-
-    @pytest.mark.parametrize("threshold", [0.0, 1e-5, math.inf])
+    @pytest.mark.parametrize("distance", [0.0, 1e-5, math.inf])
     @pytest.mark.parametrize("eps", [0.0, 1.5, math.nan])
-    def test_radius_checked_before_distances(self, eps, threshold):
+    def test_radius_checked_before_distances(self, eps, distance):
         with pytest.raises(DomainError, match="disc radius"):
-            lune_potential_stable_array(np.array([-0.5, math.nan]), eps, threshold)
+            lune_potential_series_array(np.array([distance]), eps)
+        with pytest.raises(DomainError, match="disc radius"):
+            lune_potential_series_array(np.array([-0.5, math.nan, distance]), eps)
 
     def test_bad_distance(self):
         with pytest.raises(DomainError, match="centre distance"):
-            lune_potential_stable_array(np.array([0.5, -0.1]), 1e-8)
+            lune_potential_series_array(np.array([0.5, -0.1]), 1e-8)
 
     def test_warns_once_above_half(self):
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            lune_potential_stable_array(np.linspace(0.0, 2.0, 50), 0.8, math.inf)
+            lune_potential_series_array(np.linspace(0.0, 2.0, 50), 0.8)
         assert [w.category for w in rec] == [EpsilonRangeWarning]
 
 

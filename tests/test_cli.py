@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lunepot.asymptotic import lune_potential_stable, profile_value
+from lunepot.asymptotic import lune_potential_series, lune_potential_stable, profile_value
 from lunepot.cli import MODES, _fmt, main
 from lunepot.closed_form import lune_potential
 from lunepot.errors import EpsilonRangeWarning
@@ -120,7 +120,7 @@ def _per_point(mode: str, a: float, eps: float) -> float:
     if mode == "stable":
         return lune_potential_stable(q)
     if mode == "asymptotic":
-        return lune_potential_stable(q, threshold=math.inf)
+        return lune_potential_series(q)
     return quad_lune(q, 1e-12).value
 
 
@@ -232,6 +232,40 @@ class TestSweepColumns:
         assert code == 0
         assert [w.category for w in rec] == [EpsilonRangeWarning]
         assert len(out.strip().split("\n")) == 12
+
+
+class TestStableIsExact:
+    """``--mode stable`` is an alias of ``--mode exact``: the same bytes on
+    every grid shape and radius."""
+
+    RADII = ["0.3", "1e-3", "1e-6", "1e-10", "1e-14"]
+
+    @pytest.mark.parametrize("eps", RADII)
+    def test_sweep(self, capsys, eps):
+        e = float(eps)
+        grids = (
+            ["--a-min", repr(1.0 - e), "--a-max", repr(1.0 + e)],
+            ["--a-min", repr(max(0.0, 1.0 - 3.0 * e)), "--a-max", repr(1.0 + 3.0 * e), "--scaled"],
+            ["--lambda-grid", "--scaled"],
+        )
+        for extra in grids:
+            exact, stable = (
+                run_cli(capsys, "sweep", "--eps", eps, "--n", "101", "--mode", mode, *extra)
+                for mode in ("exact", "stable")
+            )
+            assert exact[0] == 0
+            assert stable == exact
+
+    @pytest.mark.parametrize("eps", RADII)
+    def test_eval(self, capsys, eps):
+        e = float(eps)
+        for a in (0.5 * (1.0 - e), 1.0 - e, 1.0 - e / 2, 1.0, 1.0 + e / 3, 1.0 + e, 2.0):
+            exact, stable = (
+                run_cli(capsys, "eval", "--a", repr(a), "--eps", eps, "--mode", mode)
+                for mode in ("exact", "stable")
+            )
+            assert exact[0] == 0
+            assert stable == exact
 
 
 # (command, arguments) writing a CSV to --out; the second is shorter

@@ -137,8 +137,15 @@ class TestRadialLogPrimitive:
 class TestWedgeTerm:
     @pytest.mark.parametrize("e", [0.5, 0.25, 0.1, 0.01])
     def test_vanishes_at_band_edges(self, e):
-        assert abs(wedge_term(OverlapQuery(1.0 - e, e))) <= 1e-12
-        assert abs(wedge_term(OverlapQuery(1.0 + e, e))) <= 1e-12
+        # 0 at the edges 1 -/+ eps; the double nearest an edge can lie just
+        # inside the band (0.9 does at eps = 0.1), where the wedge is the
+        # reference's -5.5e-11
+        from mp_reference import wedge
+
+        for a in (1.0 - e, 1.0 + e):
+            ref = float(wedge(a, e))
+            assert abs(ref) <= 1e-10
+            assert abs(wedge_term(OverlapQuery(a, e)) - ref) <= 1e-16 * e * e
 
     def test_frozen_values(self):
         assert wedge_term(OverlapQuery(1.0, 0.2)) == pytest.approx(

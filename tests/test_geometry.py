@@ -88,17 +88,35 @@ class TestClassify:
     )
     @settings(max_examples=300)
     def test_partition(self, a, eps):
+        # the band edges on the exact x = a - 1, not on the rounded 1 -/+ eps
         tag = classify_regime(OverlapQuery(a, eps))
+        x = a - 1
         member = {
-            Regime.NESTED: a <= 1 - eps,
-            Regime.OVERLAP_INNER_DISC: 1 - eps < a < 1,
-            Regime.OVERLAP_AT_UNIT: a == 1,
-            Regime.OVERLAP_OUTER_NEAR: 1 < a and a * a < 1 + eps * eps and a < 1 + eps,
-            Regime.OVERLAP_OUTER_FAR: a * a >= 1 + eps * eps and a < 1 + eps,
-            Regime.OUTSIDE: a >= 1 + eps,
+            Regime.NESTED: x <= -eps,
+            Regime.OVERLAP_INNER_DISC: -eps < x < 0,
+            Regime.OVERLAP_AT_UNIT: x == 0,
+            Regime.OVERLAP_OUTER_NEAR: 0 < x < eps and a * a < 1 + eps * eps,
+            Regime.OVERLAP_OUTER_FAR: a * a >= 1 + eps * eps and x < eps,
+            Regime.OUTSIDE: x >= eps,
         }
         assert member[tag]
         assert sum(member.values()) == 1
+
+    @pytest.mark.parametrize(
+        "a,eps,tag",
+        [
+            (1.0 - 0.1, 0.1, Regime.OVERLAP_INNER_DISC),  # 0.9 - 1 = -0.09999999999999998
+            (1.0 + 1e-8, 1e-8, Regime.OVERLAP_OUTER_FAR),  # 6e-17 inside the band
+            (1.0 + 0.1, 0.1, Regime.OUTSIDE),
+            (1.0 - 1e-13, 1e-13, Regime.NESTED),
+            (1.0 + 1e-13, 1e-13, Regime.OVERLAP_OUTER_FAR),
+            (1.0 - 1e-14, 1e-14, Regime.OVERLAP_INNER_DISC),
+        ],
+    )
+    def test_rounded_edges(self, a, eps, tag):
+        # the rounded 1 -/+ eps can fall on either side of the true edge
+        assert classify_regime(OverlapQuery(a, eps)) is tag
+        assert REGIMES[classify_regimes(np.array([a]), eps)[0]] is tag
 
 
 class TestChordRadius:
