@@ -212,10 +212,10 @@ def _stable_wedge(a: float, e: float) -> float:
     return ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x
 
 
-def _stable_wedge_array(a: np.ndarray, e: float) -> np.ndarray:
-    # _stable_wedge over an array of band centre distances, lane for lane
-    # with the same operation order
-    x = a - 1.0
+def _stable_wedge_array(a: np.ndarray, x: np.ndarray, e: float, root) -> np.ndarray:
+    # _stable_wedge over arrays of band centre distances a and x = a - 1,
+    # lane for lane with the same operation order; root, unused, keeps the
+    # signature of closed_form._band_wedge_array for _potential_array
     lam = np.clip(0.5 + 0.5 * x / e, 0.0, 1.0)
     beta = 1.0 - 2.0 * lam
     sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))

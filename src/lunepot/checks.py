@@ -101,7 +101,9 @@ def check_branch_continuity(
     tested two-sided at the interior thresholds 1 and sqrt(1+eps^2); at
     the band edges, outside of which it is undefined, continuity on the
     closed band means the edge value must equal the limit 0, which is
-    what is asserted there.
+    what is asserted there.  The edge is probed at the first double on or
+    outside it: the double nearest 1 -/+ eps can lie inside the band,
+    where the wedge is O(sqrt(distance)) and not 0.
     """
     worst = 0.0
     where = ""
@@ -116,7 +118,12 @@ def check_branch_continuity(
             d = abs(_jump(wed, th, offset))
             if d > worst:
                 worst, where = d, f"F at {th:.6g}, eps={e:g}"
-        for edge in (1.0 - e, 1.0 + e):
+        lo, hi = 1.0 - e, 1.0 + e
+        while lo - 1.0 > -e:
+            lo = math.nextafter(lo, 0.0)
+        while hi - 1.0 < e:
+            hi = math.nextafter(hi, 2.0)
+        for edge in (lo, hi):
             d = abs(wed(edge))
             if d > worst:
                 worst, where = d, f"F edge {edge:.6g}, eps={e:g}"

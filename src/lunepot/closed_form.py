@@ -45,7 +45,6 @@ from .geometry import (
     OverlapQuery,
     check_queries,
     intersection_angle,
-    intersection_angle_array,
 )
 
 # perfbench/tracing.py wraps this former call of lune_potential under this
@@ -334,7 +333,8 @@ def _band_wedge(a: float, x: float, e: float, root: float) -> float:
 
 
 def _band_wedge_array(a, x, e, root):
-    # _band_wedge over arrays, lane for lane; e a float or an array
+    # the wedge term itself, _band_wedge / (8*pi), over arrays, lane for
+    # lane; e a float or an array
     e2 = e * e
     q2 = x * (2.0 + x)
     theta = np.arctan2(-root, 2.0 + q2 - e2)
@@ -350,7 +350,7 @@ def _band_wedge_array(a, x, e, root):
     t2 = theta * theta
     s2 = root / (2.0 * a)
     g = -m * psi - q2 * theta - 2.0 * log_e * (theta * t2 * _SIN_TAIL(t2) + x * s2) - 2.0 * im
-    return np.where(x > 0.0, g + PI * m, g)
+    return np.where(x > 0.0, g + PI * m, g) / EIGHT_PI
 
 
 def _wedge(a: float, e: float) -> float:
@@ -367,14 +367,7 @@ def _wedge(a: float, e: float) -> float:
 def _wedge_array(a: np.ndarray, e: float) -> np.ndarray:
     # _wedge over an array of centre distances, lane for lane; 0 off the
     # open band
-    x = a - 1.0
-    band = (x > -e) & (x < e)
-    w = np.zeros(a.shape)
-    if band.any():
-        a, x = a[band], x[band]
-        root = np.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
-        w[band] = _band_wedge_array(a, x, e, root) / EIGHT_PI
-    return w
+    return _potential_array(a, e, _band_wedge_array)[1]
 
 
 def _wedge_branch_value(a: float, e: float) -> float:
@@ -412,7 +405,7 @@ def _branch_from_wedge(a: np.ndarray, e: float, w: np.ndarray) -> np.ndarray:
     if near.any():
         a, x = a[near], x[near]
         q = np.sqrt(x * (2.0 + x))
-        out[near] = w[near] - _band_wedge_array(a, x, q, 2.0 * q) / (4.0 * PI)
+        out[near] = w[near] - 2.0 * _band_wedge_array(a, x, q, 2.0 * q)
     return out
 
 
@@ -501,21 +494,23 @@ def lune_potential_array(a, eps: float) -> np.ndarray:
     rounding.  Raises DomainError for a radius outside (0, 1), then for a
     negative or non-finite distance, and warns once for a radius above 1/2.
     """
-    return _potential_array(check_queries(a, eps), eps, _wedge_array)[0]
+    return _potential_array(check_queries(a, eps), eps, _band_wedge_array)[0]
 
 
 def lune_potential_profile_array(a, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """``lune_potential_array`` and ``asymptotic.profile_values`` over the
     same centre distances, from one evaluation of the wedge."""
     a = check_queries(a, eps)
-    values, wedge = _potential_array(a, eps, _wedge_array)
+    values, wedge = _potential_array(a, eps, _band_wedge_array)
     return values, _branch_from_wedge(a, eps, wedge)
 
 
-def _potential_array(a: np.ndarray, e: float, wedge_array):
+def _potential_array(a: np.ndarray, e: float, band_wedge):
     # (values, wedge): the nested constant, 0 outside, and on the open band
-    # the sector plus 8 times the wedge from ``wedge_array``, with that
-    # wedge (0 off the band); ``a`` is already checked
+    # the sector plus 8 times the wedge band_wedge(a, x, e, root) of the
+    # band lanes, with that wedge (0 off the band); ``a`` is already
+    # checked.  One root serves the sector angle, as in lune_potential,
+    # and the wedge.
     x = a - 1.0
     e2 = e * e
     out = np.zeros(a.shape)
@@ -523,9 +518,10 @@ def _potential_array(a: np.ndarray, e: float, wedge_array):
     wedge = np.zeros(a.shape)
     band = (x > -e) & (x < e)
     if band.any():
-        ab = a[band]
-        phi = intersection_angle_array(ab, e)
-        wedge[band] = w = wedge_array(ab, e)
+        a, x = a[band], x[band]
+        root = np.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
+        phi = np.arctan2(root, -(x * (2.0 + x) + e2))
+        wedge[band] = w = band_wedge(a, x, e, root)
         out[band] = 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + 8.0 * w)
     return out, wedge
 

@@ -344,6 +344,12 @@ class TestValidate:
         assert "oracle-agreement" in out
         assert "FAIL" not in out
 
+    def test_rounded_band_edge_radius(self, capsys):
+        # fl(1 - 0.2) and fl(1 + 0.2) lie inside the band
+        code, out, _ = run_cli(capsys, "validate", "--eps", "0.2", "--grid-n", "40")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_eta_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate", "--eps", "0.5", "--grid-n", "10", "--eta"
