@@ -6,7 +6,7 @@ radius, with the small-radius series of the paper and an
 adaptive-quadrature oracle for self-validation.
 """
 
-from ._backend import backend_name
+from ._kernels_py import backend_name
 from .asymptotic import (
     BandCoefficients,
     BandPoint,
@@ -22,7 +22,6 @@ from .asymptotic import (
     unit_wedge_series,
 )
 from .closed_form import (
-    WedgeDerivation,
     angular_primitive,
     cos_log_primitive,
     disc_potential,
@@ -32,7 +31,6 @@ from .closed_form import (
     wedge_branch_value,
     wedge_term,
     wedge_term_reordered,
-    wedge_term_via,
 )
 from .dilog import dilog, dilog_lower_boundary, im_dilog_on_path
 from .errors import AccuracyWarning, DomainError, EpsilonRangeWarning, QuadratureWarning
@@ -71,7 +69,6 @@ __all__ = [
     "QuadResult",
     "QuadratureWarning",
     "Regime",
-    "WedgeDerivation",
     "__version__",
     "adaptive_quad",
     "angular_primitive",
@@ -109,5 +106,4 @@ __all__ = [
     "wedge_branch_value",
     "wedge_term",
     "wedge_term_reordered",
-    "wedge_term_via",
 ]

@@ -1,18 +1,16 @@
-"""Pure-Python hot kernels.
+"""Hot kernels, in pure Python.
 
 Scalar routines on the critical path: the principal-branch dilogarithm,
 the closed-form angular primitives, and the embedded 15/7 quadrature
-panels.  A compiled twin (``_kernels_cy``) implements the same functions
-with identical semantics; ``lunepot._backend`` picks one at import time.
+panels.  Everything here works on plain floats, with complex values as
+re/im pairs.
 
-Everything here works on plain floats (complex values as re/im pairs) so
-the two implementations stay line-for-line comparable, with two
-exceptions.  ``wedge_panel``, the quadrature oracle's hot loop, evaluates
-its integrand inline over one node table instead of calling ``_wedge_f``
-per node.  It keeps ``_panel``'s operation order, so its results are
-bit-identical to ``_panel(_wedge_f, ...)``.  ``wedge_panel_turn``, the
-same panel in the substituted variable tau = sqrt(theta - theta_t) that
-the oracle uses beyond the unit distance, has no compiled twin.
+``wedge_panel``, the quadrature oracle's hot loop, evaluates its integrand
+inline over one node table instead of calling ``_wedge_f`` per node.  It
+keeps ``_panel``'s operation order, so its results are bit-identical to
+``_panel(_wedge_f, ...)``.  ``wedge_panel_turn`` is the same panel in the
+substituted variable tau = sqrt(theta - theta_t) that the oracle uses
+beyond the unit distance.
 """
 
 from __future__ import annotations
@@ -25,6 +23,11 @@ PI2_6 = PI * PI / 6.0
 
 _SERIES_RTOL = 1e-17
 _SERIES_CAP = 200
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "python"
 
 
 def _log_series_coeffs(n: int = 46) -> tuple[float, ...]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import angular_primitive_core, im_li2_path
+from ._kernels_py import angular_primitive_core, im_li2_path
 from .closed_form import (
     _first_case_parts,
     _log1p_minus_x,

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import checks as _checks
-from ._backend import backend_name
+from ._kernels_py import backend_name
 from .asymptotic import (
     band_profile,
     lune_potential_series,

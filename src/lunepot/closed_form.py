@@ -30,15 +30,13 @@ runs the same formulas over arrays.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from bisect import bisect_left
 
 import numpy as np
 
-from ._backend import angular_primitive_core, cos_log_primitive_core, li2_parts
-from ._kernels_py import _LOG_COEF
+from ._kernels_py import _LOG_COEF, angular_primitive_core, cos_log_primitive_core, li2_parts
 from .errors import AccuracyWarning, DomainError
 from .geometry import (
     CLAMP_SLACK,
@@ -55,25 +53,16 @@ PI = math.pi
 EIGHT_PI = 8.0 * PI
 
 __all__ = [
-    "WedgeDerivation",
     "angular_primitive",
     "cos_log_primitive",
     "radial_log_primitive",
     "wedge_term",
     "wedge_term_reordered",
-    "wedge_term_via",
     "lune_potential",
     "lune_potential_array",
     "lune_potential_profile_array",
     "disc_potential",
 ]
-
-
-class WedgeDerivation(enum.Enum):
-    """Which exact representation produced a wedge-term value."""
-
-    DIRECT = "DirectG"
-    REORDERED = "ChangeOfOrder"
 
 
 def angular_primitive(a: float, phi: float) -> float:
@@ -453,13 +442,6 @@ def wedge_term_reordered(q: OverlapQuery) -> float:
     e2 = e * e
     sector = phi * e2 * (math.log(e2) - 1.0) / EIGHT_PI
     return sector - (radial_log_primitive(a, e) - radial_log_primitive(a, 1.0 - a))
-
-
-def wedge_term_via(q: OverlapQuery, route: WedgeDerivation) -> float:
-    """Evaluate the wedge term through a chosen representation."""
-    if route is WedgeDerivation.DIRECT:
-        return wedge_term(q)
-    return wedge_term_reordered(q)
 
 
 def lune_potential(q: OverlapQuery) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from ._backend import im_li2_path, li2_parts
+from ._kernels_py import im_li2_path, li2_parts
 from .errors import AccuracyWarning, DomainError
 
 __all__ = ["dilog", "dilog_lower_boundary", "im_dilog_on_path"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import chord_radius_core
+from ._kernels_py import chord_radius_core
 from .errors import DomainError, EpsilonRangeWarning
 
 PI = math.pi
@@ -212,18 +212,6 @@ def intersection_angle(q: OverlapQuery) -> float:
     prod = max(lo, 0.0) * (a + 1.0 + e) * max(hi, 0.0) * (1.0 + a - e)
     sin_phi = math.sqrt(prod) / (2.0 * a * e)
     return math.atan2(sin_phi, cos_phi)
-
-
-def intersection_angle_array(a: np.ndarray, eps: float) -> np.ndarray:
-    """``intersection_angle`` over an array of centre distances inside the
-    open overlap band, with the same factored evaluation."""
-    e = eps
-    x = a - 1.0
-    cos_phi = np.clip(-(x * (2.0 + x) + e * e) / (2.0 * a * e), -1.0, 1.0)
-    lo = x + e
-    hi = (1.0 - a) + e
-    prod = np.maximum(lo, 0.0) * (a + 1.0 + e) * np.maximum(hi, 0.0) * (1.0 + a - e)
-    return np.arctan2(np.sqrt(prod) / (2.0 * a * e), cos_phi)
 
 
 def big_l(theta: float, a: float) -> float:

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from ._backend import cos_log_panel, wedge_panel
-from ._kernels_py import _panel, wedge_panel_turn
+from ._kernels_py import _panel, cos_log_panel, wedge_panel, wedge_panel_turn
 from .errors import DomainError, QuadratureWarning
 from .geometry import OverlapQuery, Regime, classify_regime, intersection_angle
 

@@ -428,3 +428,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split(",")[2] == "Nested"
+
+
+def test_no_environment_variable_selects_kernels():
+    # the kernels have one implementation; a stale backend request in the
+    # environment must neither fail the import nor change what runs
+    env = dict(os.environ, PYTHONPATH=SRC, LUNEPOT_BACKEND="compiled")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import math, lunepot; print(lunepot.backend_name()); "
+            "print(math.isfinite(lunepot.lune_potential(lunepot.OverlapQuery(0.95, 0.1))))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["python", "True"]

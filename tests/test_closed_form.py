@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunepot.closed_form import (
-    WedgeDerivation,
     angular_primitive,
     cos_log_primitive,
     disc_potential,
@@ -18,7 +17,6 @@ from lunepot.closed_form import (
     turning_angle_primitive_closed_form,
     wedge_term,
     wedge_term_reordered,
-    wedge_term_via,
 )
 from lunepot.dilog import im_dilog_on_path
 from lunepot.errors import DomainError, EpsilonRangeWarning
@@ -227,11 +225,6 @@ class TestReordered:
     def test_domain(self):
         with pytest.raises(DomainError):
             wedge_term_reordered(OverlapQuery(1.05, 0.1))
-
-    def test_route_dispatch(self):
-        q = OverlapQuery(0.97, 0.1)
-        assert wedge_term_via(q, WedgeDerivation.DIRECT) == wedge_term(q)
-        assert wedge_term_via(q, WedgeDerivation.REORDERED) == wedge_term_reordered(q)
 
 
 class TestLunePotential:

@@ -17,7 +17,6 @@ from lunepot.geometry import (
     classify_regime,
     classify_regimes,
     intersection_angle,
-    intersection_angle_array,
     intersection_points,
     newtonian_kernel,
     phi_map,
@@ -184,13 +183,6 @@ class TestIntersectionAngle:
                 phi = intersection_angle(q)
                 assert abs(chord_radius(phi, float(a)) - e) <= 1e-12
 
-
-    @pytest.mark.parametrize("eps", [0.5, 0.2, 1e-4])
-    def test_array_matches_scalar(self, eps):
-        a = 1.0 + eps * np.linspace(-1.0, 1.0, 41)[1:-1]
-        want = [intersection_angle(OverlapQuery(x, eps)) for x in a.tolist()]
-        # numpy's arctan2 may differ from libm's in the last ulp
-        np.testing.assert_allclose(intersection_angle_array(a, eps), want, rtol=5e-16, atol=0.0)
 
 
 class TestPhiMap:
