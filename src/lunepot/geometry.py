@@ -203,15 +203,21 @@ def intersection_angle(q: OverlapQuery) -> float:
     a, e = q.a, q.eps
     if a == 0.0:
         raise DomainError("intersection angle undefined at zero centre distance")
-    x = a - 1.0
+    return _band_angle(a, a - 1.0, e)
+
+
+def _band_angle(a: float, x: float, e: float) -> float:
+    # intersection_angle from x = a - 1, for a > 0; quadrature.quad_lune
+    # calls it directly.  The clamps are written out: they are on its path.
     lo = x + e                  # a - (1 - eps)
     hi = (1.0 - a) + e          # (1 + eps) - a
     if lo < -CLAMP_SLACK or hi < -CLAMP_SLACK:
         raise DomainError(f"a = {a} outside the overlap band [1-eps, 1+eps]")
-    cos_phi = _clamped_unit(-(x * (2.0 + x) + e * e) / (2.0 * a * e), "intersection-angle cosine")
-    prod = max(lo, 0.0) * (a + 1.0 + e) * max(hi, 0.0) * (1.0 + a - e)
-    sin_phi = math.sqrt(prod) / (2.0 * a * e)
-    return math.atan2(sin_phi, cos_phi)
+    cos_phi = -(x * (2.0 + x) + e * e) / (2.0 * a * e)
+    if not -1.0 <= cos_phi <= 1.0:
+        cos_phi = _clamped_unit(cos_phi, "intersection-angle cosine")
+    prod = (lo if lo > 0.0 else 0.0) * (a + 1.0 + e) * (hi if hi > 0.0 else 0.0) * (1.0 + a - e)
+    return math.atan2(math.sqrt(prod) / (2.0 * a * e), cos_phi)
 
 
 def big_l(theta: float, a: float) -> float:

@@ -18,6 +18,10 @@ tau = sqrt(theta - theta_t), dtheta = 2*tau*dtau, where the integrand is
 smooth.  Inside the unit distance, [0, phi] is broken at pi/2 when phi
 exceeds it: just below a = 1 the integrand is nearly zero up to pi/2 and
 lives in a thin layer past it, which one panel's nodes can miss.
+
+The driver returns once the first panels meet the tolerance, as
+QUADPACK's qag does, and builds a heap only to bisect.  ``quad_lune``
+takes the sector angle from ``intersection_angle``'s core.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._kernels_py import _panel, cos_log_panel, wedge_panel, wedge_panel_turn
 from .errors import DomainError, QuadratureWarning
-from .geometry import OverlapQuery, Regime, classify_regime, intersection_angle
+from .geometry import OverlapQuery, Regime, _band_angle, classify_regime, intersection_angle
 
 # quadrature's former call into geometry; perfbench/tracing.py still wraps
 # it under this name, so it stays importable from here
@@ -55,10 +58,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    """Value of an adaptive quadrature with its error estimate, the number
-    of panels evaluated, and whether the tolerance was reached."""
+class QuadResult(NamedTuple):
+    """Value of an adaptive quadrature with its error estimate, the size of
+    the final partition (initial intervals plus bisections, 1 for a closed
+    form; the panels evaluated number twice that less the initial
+    intervals), and whether the tolerance was reached."""
 
     value: float
     err_estimate: float
@@ -77,26 +81,28 @@ def _run_adaptive(
     tol: float,
     budget: int,
 ) -> tuple[float, float, int, bool]:
-    # (value, error estimate, panels, converged) of the weighted sum over
-    # intervals (lo, hi, w, arg) of panel(arg, lo, hi); the +/-1 weight
-    # lets region parts bounded from below by the unit circle subtract
+    # (value, error estimate, subdivisions, converged) of the weighted sum
+    # over intervals (lo, hi, w, arg) of panel(arg, lo, hi); the +/-1
+    # weight lets region parts bounded from below by the unit circle
+    # subtract.  Keys (-e, seq) are unique: pops ignore how the heap was built.
     heap: list[tuple[float, int, float, float, float, float, object]] = []
-    seq = 0
     total = 0.0
     err = 0.0
-    count = 0
     for lo, hi, w, arg in intervals:
         if hi <= lo:
             continue
         k, g = panel(arg, lo, hi)
         e = abs(k - g)
-        heapq.heappush(heap, (-e, seq, lo, hi, w, w * k, arg))
-        seq += 1
+        heap.append((-e, len(heap), lo, hi, w, w * k, arg))
         total += w * k
         err += e
-        count += 1
+    count = seq = len(heap)
     if count == 0:
         return 0.0, 0.0, 1, True
+    if err <= tol:
+        # the first panels converged: nothing to bisect
+        return total, err, count, True
+    heapq.heapify(heap)
     while err > tol and count < budget:
         neg_e, _, lo, hi, w, wk_old, arg = heapq.heappop(heap)
         err += neg_e  # remove this panel's error
@@ -191,21 +197,24 @@ def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET)
     wedge part integrated numerically; nested and separated regimes are
     closed-form."""
     _check_tol(tol)
-    e = q.eps
+    a, e = q.a, q.eps
+    x = a - 1.0
     e2 = e * e
-    regime = classify_regime(q)
-    if regime is Regime.NESTED:
-        return QuadResult(0.25 * e2 * (math.log(e2) - 1.0), 0.0, 1, True)
-    if regime is Regime.OUTSIDE:
-        return QuadResult(0.0, 0.0, 1, True)
+    # the nested and outside regimes of classify_regime
+    if x <= -e:
+        return QuadResult(0.25 * e2 * (math.log(e2) - 1.0), 0.0, 1)
+    if x >= e:
+        return QuadResult(0.0, 0.0, 1)
     # inside the open band: quad_wedge's band check cannot fail here
-    phi = intersection_angle(q)
+    phi = _band_angle(a, x, e)
     sector = (PI - phi) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
-    panel, intervals = _wedge_intervals(q.a, e, phi)
+    panel, intervals = _wedge_intervals(a, e, phi)
     value, err, count, converged = _run_adaptive(panel, intervals, 0.5 * tol * EIGHT_PI, budget)
-    return _result(
-        sector + 2.0 * (value / EIGHT_PI), 2.0 * (err / EIGHT_PI), count, converged, tol
-    )
+    value = sector + 2.0 * (value / EIGHT_PI)
+    err = 2.0 * (err / EIGHT_PI)
+    if converged:
+        return QuadResult(value, err, count)
+    return _result(value, err, count, converged, tol)
 
 
 def quad_cos_log(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lunepot import _kernels_py as kern
 from lunepot.errors import DomainError, QuadratureWarning
-from lunepot.geometry import OverlapQuery
+from lunepot.geometry import OverlapQuery, Regime, classify_regime, intersection_angle
 from lunepot.quadrature import (
     QuadResult,
     adaptive_quad,
@@ -265,6 +265,70 @@ class TestQuadLune:
             env = 0.25 * e * e * (1.0 - math.log(e * e)) + 1e-12
             for a in np.linspace(0.0, 1.0 + e, 40):
                 assert abs(quad_lune(OverlapQuery(float(a), e), 1e-11).value) <= env
+
+
+class TestQuadLuneParts:
+    # quad_lune reads the regime off x = a - 1 and takes the sector angle
+    # from geometry's angle core; it must agree bit for bit with the sector
+    # from intersection_angle plus twice quad_wedge at half the tolerance
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    @pytest.mark.parametrize("e", [1e-6, 1e-3, 0.3])
+    def test_sector_plus_wedge(self, e, tol):
+        from test_accuracy import _ulp_neighbours
+
+        rng = np.random.default_rng(20261018)
+        points = (1.0 + e * rng.uniform(-1.0, 1.0, 40)).tolist()
+        for t in (1.0 - e, 1.0, 1.0 + e, math.sqrt(1.0 + e * e)):
+            points += _ulp_neighbours(t)
+        e2 = e * e
+        band = 0
+        for a in points:
+            q = OverlapQuery(a, e)
+            res = quad_lune(q, tol)
+            regime = classify_regime(q)
+            if regime is Regime.NESTED:
+                assert res == QuadResult(0.25 * e2 * (math.log(e2) - 1.0), 0.0, 1, True)
+            elif regime is Regime.OUTSIDE:
+                assert res == QuadResult(0.0, 0.0, 1, True)
+            else:
+                w = quad_wedge(q, tol / 2)
+                sector = (PI - intersection_angle(q)) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
+                want = (sector + 2.0 * w.value, 2.0 * w.err_estimate, w.subdivisions, w.converged)
+                assert res == QuadResult(*want), (a, e)
+                band += 1
+        assert band > 50
+
+
+class TestQuadResultRecord:
+    def test_record(self):
+        res = QuadResult(-0.5, 1e-13, 2)
+        assert QuadResult._fields == ("value", "err_estimate", "subdivisions", "converged")
+        assert res.converged is True
+        assert repr(QuadResult(-0.5, 1e-13, 2, False)) == (
+            "QuadResult(value=-0.5, err_estimate=1e-13, subdivisions=2, converged=False)"
+        )
+        with pytest.raises(AttributeError):
+            res.value = 0.0
+        value, err, count, converged = res
+        assert (value, err, count, converged) == (-0.5, 1e-13, 2, True)
+        assert res == (-0.5, 1e-13, 2, True)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_budget_at_initial_intervals(self, budget):
+        # 1 < a, a^2 < 1 + eps^2: two initial intervals.  A loose tolerance
+        # returns straight after them; a budget at or below their count
+        # goes on to the heap and stops before the first bisection.  Both
+        # hold the same sums; only the second warns, once.
+        q = OverlapQuery(1.003, 0.1)
+        assert 1.0 < q.a and q.a * q.a < 1.0 + q.eps * q.eps
+        loose = quad_lune(q, 1.0)
+        assert loose.converged and loose.subdivisions == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            capped = quad_lune(q, 1e-12, budget=budget)
+        assert capped == loose._replace(converged=False)
+        assert [w.category for w in caught] == [QuadratureWarning]
 
 
 class TestHonestConvergence:
