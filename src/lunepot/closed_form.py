@@ -23,9 +23,10 @@ z = -a*e^(2i*Phi), the reflection Li2(z) = pi^2/6 - log z*log(1-z) - Li2(1-z)
 and a Bernoulli series for Li2(1-z) - (1-z) give every piece of
 G(a, Phi) - pi*(1 - a^2) at the size of the result, O(eps^2*log eps), instead
 of as the difference of O(1) values, accurate to about 1e-16 of
-eps^2*|log eps^2| at every radius.  The scalar ``lune_potential`` sums its
-series inline and calls nothing in ``geometry``; ``lune_potential_array``
-runs the same formulas over arrays.
+eps^2*|log eps^2| at every radius.  Each series is summed by straight-line
+Horner expressions built at import, one per cut length; the scalar
+``lune_potential`` indexes them itself and calls nothing in ``geometry``,
+and ``lune_potential_array`` runs the same formulas over arrays.
 """
 
 from __future__ import annotations
@@ -214,24 +215,30 @@ class _PowerSeries:
     ``cuts`` lists (bound, length) pairs: for |t| <= bound the first
     ``length`` terms leave a tail sum |coef[k]| * bound^k below 1e-17 of
     |coef[0]| (checked in the tests).  Beyond the last bound the whole
-    table is summed.
+    table is summed.  ``_horner[bisect_left(_bounds, |t|)]`` sums a cut.
     """
 
     def __init__(self, coef, cuts):
         self.coef = coef
         self.cuts = cuts
         self._bounds = tuple(bound for bound, _ in cuts)
-        # highest degree first, for Horner's rule
-        self._reversed = tuple(coef[n - 1 :: -1] for _, n in cuts) + (coef[::-1],)
+        self._horner = tuple(map(_compile_horner, [coef[:n] for _, n in cuts] + [coef]))
 
     def __call__(self, t):
         t_max = abs(t)
         if type(t_max) is not float:  # an array
             t_max = float(t_max.max())
-        acc = 0.0
-        for c in self._reversed[bisect_left(self._bounds, t_max)]:
-            acc = acc * t + c
-        return acc
+        return self._horner[bisect_left(self._bounds, t_max)](t)
+
+
+def _compile_horner(coef):
+    # lambda t: (c[n-1] * t + c[n-2]) * t + ... + c[0]: the operations of
+    # acc = acc * t + c from acc = 0.0 without the loop, whose first step
+    # gives c[n-1] exactly for a finite t; repr round-trips each float.
+    body = repr(coef[-1])
+    for c in coef[-2::-1]:
+        body = f"({body}) * t + {c!r}"
+    return eval(f"lambda t: {body}")
 
 
 # For a in [1/2, 2] and theta in [-pi/2, 0], |u| <= hypot(log 2, pi/2) < 1.72,
@@ -278,10 +285,11 @@ def _im_li2_excess_taylor(z, log_z, log_w):
     return -(log_z * log_w).imag - (z * _LI2_TAYLOR(z)).imag - (1.0 - z).imag
 
 
-# The scalar series are summed inline, Horner's rule over the cut tables.
-_LI2_BOUNDS, _LI2_REV = _LI2_EXCESS._bounds, _LI2_EXCESS._reversed
-_SIN_BOUNDS, _SIN_REV = _SIN_TAIL._bounds, _SIN_TAIL._reversed
-_LOG1P_BOUNDS, _LOG1P_REV = _LOG1P_TAIL._bounds, _LOG1P_TAIL._reversed
+# The scalar path indexes the straight-line evaluators itself, without
+# the type test and call of _PowerSeries.__call__.
+_LI2_BOUNDS, _LI2_HORNER = _LI2_EXCESS._bounds, _LI2_EXCESS._horner
+_SIN_BOUNDS, _SIN_HORNER = _SIN_TAIL._bounds, _SIN_TAIL._horner
+_LOG1P_BOUNDS, _LOG1P_HORNER = _LOG1P_TAIL._bounds, _LOG1P_TAIL._horner
 
 
 def _band_wedge(a: float, x: float, e: float, root: float) -> float:
@@ -297,10 +305,7 @@ def _band_wedge(a: float, x: float, e: float, root: float) -> float:
     log_e = math.log(e)
     l1p = math.log1p(x)
     if abs(x) < _LOG1P_SERIES_MAX:
-        acc = 0.0
-        for c in _LOG1P_REV[bisect_left(_LOG1P_BOUNDS, abs(x))]:
-            acc = acc * x + c
-        m = 2.0 * (x * x * acc) - x * x
+        m = 2.0 * (x * x * _LOG1P_HORNER[bisect_left(_LOG1P_BOUNDS, abs(x))](x)) - x * x
     else:
         m = 2.0 * (l1p - x) - x * x
     if a < 0.5:
@@ -308,14 +313,9 @@ def _band_wedge(a: float, x: float, e: float, root: float) -> float:
         im = _im_li2_excess_taylor(z, complex(l1p, theta), complex(log_e, psi))
     else:
         u = complex(-l1p, -theta)
-        acc = 0.0
-        for c in _LI2_REV[bisect_left(_LI2_BOUNDS, abs(u))]:
-            acc = acc * u + c
-        im = (u * u * acc).imag
+        im = (u * u * _LI2_HORNER[bisect_left(_LI2_BOUNDS, abs(u))](u)).imag
     t2 = theta * theta
-    tail = 0.0
-    for c in _SIN_REV[bisect_left(_SIN_BOUNDS, t2)]:
-        tail = tail * t2 + c
+    tail = _SIN_HORNER[bisect_left(_SIN_BOUNDS, t2)](t2)
     s2 = root / (2.0 * a)
     g = -m * psi - q2 * theta - 2.0 * log_e * (theta * t2 * tail + x * s2) - 2.0 * im
     return g + PI * m if x > 0.0 else g

@@ -18,6 +18,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import DomainError, EpsilonRangeWarning
 
 PI = math.pi
 CLAMP_SLACK = 1e-12
+_tuple_new = tuple.__new__
 
 
 class Regime(enum.Enum):
@@ -39,16 +41,31 @@ class Regime(enum.Enum):
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class OverlapQuery:
-    """A single evaluation point: centre distance ``a`` and radius ``eps``.
-
-    ``eps`` must lie in (0, 1); values above 1/2 are accepted with a
-    warning since the closed forms remain valid there but are untested.
-    """
-
+class _QueryFields(NamedTuple):
     a: float
     eps: float
+
+
+class OverlapQuery(_QueryFields):
+    """A single evaluation point: centre distance ``a`` and radius ``eps``.
+
+    An immutable NamedTuple, checked on every construction, ``_make`` and
+    ``_replace`` included.  ``eps`` must lie in (0, 1); values above 1/2
+    are accepted with a warning since the closed forms remain valid there
+    but are untested.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, eps: float) -> "OverlapQuery":
+        q = _tuple_new(cls, (a, eps))
+        q.__post_init__()
+        return q
+
+    @classmethod
+    def _make(cls, iterable) -> "OverlapQuery":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a >= 0.0):
@@ -83,15 +100,16 @@ class IntersectionGeometry:
 
 
 def check_radius(eps: float) -> None:
-    """Reject a disc radius outside (0, 1); warn, at the caller of the
-    function that checks, for one above 1/2."""
+    """Reject a disc radius outside (0, 1); warn, at the caller of
+    ``OverlapQuery`` or of the array function that checks, for one above
+    1/2."""
     if not (math.isfinite(eps) and 0.0 < eps < 1.0):
         raise DomainError(f"disc radius must lie in (0, 1), got {eps}")
     if eps > 0.5:
         warnings.warn(
             f"disc radius {eps} is above 1/2; results are untested there",
             EpsilonRangeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 

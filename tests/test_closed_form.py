@@ -457,3 +457,44 @@ def test_log1p_minus_x_against_mpmath():
         ref = float(mpmath.log1p(mpmath.mpf(x)) - x)
         assert g == pytest.approx(ref, rel=1e-14)
         assert _log1p_minus_x(x) == pytest.approx(ref, rel=1e-14)
+
+
+def _loop_horner(coef, t):
+    # the reference: Horner's rule as a loop
+    acc = 0.0
+    for c in reversed(coef):
+        acc = acc * t + c
+    return acc
+
+
+def _bits(v):
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.tobytes()
+    if isinstance(v, complex):
+        return v.real.hex(), v.imag.hex()
+    return v.hex()
+
+
+@pytest.mark.parametrize("name", ["_LI2_EXCESS", "_LI2_TAYLOR", "_SIN_TAIL", "_LOG1P_TAIL"])
+def test_straight_line_horner_matches_loop(name):
+    from lunepot import closed_form
+
+    series = getattr(closed_form, name)
+    rng = np.random.default_rng(20261018)
+    # (bound, length) of every cut, then the whole table up to 1.5 times the
+    # last bound (to |z| = 1/2 for the Taylor table, which has no cuts)
+    last = series.cuts[-1][0] * 1.5 if series.cuts else 0.5
+    spans = list(series.cuts) + [(last, len(series.coef))]
+    assert len(series._horner) == len(spans)
+    for i, (bound, n) in enumerate(spans):
+        coef = series.coef[:n]
+        r = bound * 10.0 ** rng.uniform(-3.0, 0.0, 64)
+        r[0] = bound
+        z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 64))
+        x = r * rng.choice([-1.0, 1.0], 64)
+        for t in x.tolist() + z.tolist() + [x, z]:
+            assert _bits(series._horner[i](t)) == _bits(_loop_horner(coef, t))
+            # the call picks the first cut whose bound reaches |t|
+            t_max = float(np.max(abs(t)))
+            n_cut = next((m for b, m in series.cuts if t_max <= b), len(series.coef))
+            assert _bits(series(t)) == _bits(_loop_horner(series.coef[:n_cut], t))

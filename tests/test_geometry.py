@@ -1,10 +1,14 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lunepot.asymptotic import lune_potential_series_array
+from lunepot.closed_form import lune_potential_array, lune_potential_profile_array
 from lunepot.errors import DomainError, EpsilonRangeWarning
 from lunepot.geometry import (
     REGIMES,
@@ -25,6 +29,20 @@ from lunepot.geometry import (
 PI = math.pi
 
 
+def _unchecked(a, eps):
+    # a record that skipped its checks, as bytes pickled elsewhere may hold
+    return tuple.__new__(OverlapQuery, (a, eps))
+
+
+# every way to build a query other than calling the class: each must check
+REBUILDS = {
+    "_replace": lambda a, eps: OverlapQuery(0.7, 0.3)._replace(a=a, eps=eps),
+    "_make": lambda a, eps: OverlapQuery._make((a, eps)),
+    "pickle": lambda a, eps: pickle.loads(pickle.dumps(_unchecked(a, eps))),
+    "copy": lambda a, eps: copy.copy(_unchecked(a, eps)),
+}
+
+
 class TestOverlapQuery:
     def test_accepts_valid(self):
         q = OverlapQuery(0.7, 0.3)
@@ -42,6 +60,80 @@ class TestOverlapQuery:
     def test_from_point(self):
         q = OverlapQuery.from_point((3.0, 4.0), 0.25)
         assert q.a == 5.0
+
+    def test_fields_repr_and_construction(self):
+        q = OverlapQuery(a=0.7, eps=0.3)
+        assert OverlapQuery._fields == ("a", "eps")
+        assert repr(q) == "OverlapQuery(a=0.7, eps=0.3)"
+        assert q == OverlapQuery(0.7, 0.3) == (0.7, 0.3)
+        assert OverlapQuery.from_point((3.0, 4.0), 0.25) == OverlapQuery(5.0, 0.25)
+
+    def test_immutable(self):
+        q = OverlapQuery(0.7, 0.3)
+        with pytest.raises(AttributeError):
+            q.a = 0.5
+        with pytest.raises(AttributeError):
+            q.eps = 0.1
+        with pytest.raises(AttributeError):
+            q.other = 1.0
+
+    def test_hash_and_unpack(self):
+        assert hash(OverlapQuery(0.7, 0.3)) == hash(OverlapQuery(a=0.7, eps=0.3))
+        a, e = OverlapQuery(0.7, 0.3)
+        assert (a, e) == (0.7, 0.3)
+
+    @pytest.mark.parametrize("how", sorted(REBUILDS))
+    @pytest.mark.parametrize("a,eps", [(1.0, 2.0), (math.nan, 0.1)])
+    def test_rebuild_rejects(self, how, a, eps):
+        with pytest.raises(DomainError):
+            REBUILDS[how](a, eps)
+
+    @pytest.mark.parametrize("how", sorted(REBUILDS))
+    def test_rebuild_warns_above_half(self, how):
+        with pytest.warns(EpsilonRangeWarning):
+            q = REBUILDS[how](1.0, 0.7)
+        assert type(q) is OverlapQuery and q == (1.0, 0.7)
+
+    def test_post_init_runs_once_per_construction(self, monkeypatch):
+        # a counting wrapper set on the class, as perfbench's tracer sets one
+        calls = []
+        check = OverlapQuery.__post_init__
+
+        def counting(self):
+            calls.append((self.a, self.eps))
+            check(self)
+
+        monkeypatch.setattr(OverlapQuery, "__post_init__", counting)
+        q = OverlapQuery(0.7, 0.3)
+        builds = [
+            lambda: OverlapQuery(0.7, 0.3),
+            lambda: OverlapQuery(a=0.7, eps=0.3),
+            lambda: OverlapQuery.from_point((3.0, 4.0), 0.25),
+            lambda: q._replace(eps=0.2),
+            lambda: OverlapQuery._make((0.7, 0.3)),
+            lambda: pickle.loads(pickle.dumps(q)),
+            lambda: copy.copy(q),
+        ]
+        for build in builds:
+            calls.clear()
+            build()
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: OverlapQuery(1.0, 0.7),
+        lambda: lune_potential_array([1.0], 0.7),
+        lambda: lune_potential_profile_array([1.0], 0.7),
+        lambda: lune_potential_series_array([1.0], 0.7),
+    ],
+    ids=["OverlapQuery", "lune_potential_array", "lune_potential_profile_array", "lune_potential_series_array"],
+)
+def test_radius_warning_names_the_caller(call):
+    with pytest.warns(EpsilonRangeWarning) as record:
+        call()
+    assert record[0].filename == __file__
 
 
 class TestKernel:
