@@ -21,6 +21,7 @@ computed cancellation-free from x = a - 1.
 The stable evaluator needs no series: ``closed_form`` evaluates the wedge
 without cancellation, to about 1e-16 of eps^2*|log eps^2| at every radius,
 so ``lune_potential_stable`` is ``closed_form.lune_potential`` itself.
+``band_core`` forms H through the same closed-form wedge.
 """
 
 from __future__ import annotations
@@ -30,18 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import angular_primitive_core, im_li2_path
+from ._kernels_py import im_li2_path
 from .closed_form import (
-    _first_case_parts,
+    _band_wedge,
     _log1p_minus_x,
     _potential_array,
-    _second_case_parts,
     _wedge_branch_value_array,
     lune_potential,
     wedge_branch_value,
 )
 from .errors import DomainError
 from .geometry import OverlapQuery, check_queries, intersection_angle
+
+# perfbench/tracing.py wraps this former call of band_core under this name,
+# so it stays importable from here
+from ._kernels_py import angular_primitive_core  # noqa: F401
 
 PI = math.pi
 EIGHT_PI = 8.0 * PI
@@ -115,15 +119,27 @@ def band_core(p: BandPoint) -> float:
 
     Below the unit distance this equals the wedge term itself; above it
     encodes the nontrivial primitive contribution of the outer branches.
+    Formed without cancellation by ``closed_form._band_wedge``, with the
+    chord radius eps replaced by (a^2 - 1)/eps where a^2 > 1 + eps^2: a few
+    1e-17 of eps^2*|log eps^2| on the inner branch and 1e-14 relative on
+    the outer branch, away from its ends, at radii from 1e-14 to 1/2.
     """
     a = from_band(p)
     e = p.eps
-    if (a - 1.0) * (a + 1.0) <= e * e:
-        c2, s2, lt = _first_case_parts(a, e)
-    else:
-        c2, s2, lt = _second_case_parts(a, e)
-    g = angular_primitive_core(a, c2, s2, lt)
-    return (g - (1.0 - a) * (1.0 + a) * PI) / EIGHT_PI
+    x = a - 1.0
+    q2 = x * (2.0 + x)
+    s = e if q2 <= e * e else q2 / e
+    # from_band can round x an ulp past +/-eps: the clamp then makes root
+    # exactly 0 with |w| = s, the band-edge value
+    s = min(max(s, abs(x)), 2.0 + x)
+    root = math.sqrt((2.0 + x - s) * (2.0 + x + s) * (x + s) * (s - x))
+    # On the outer branch theta runs on to -pi at lam = 1, so |u| exceeds
+    # the 1.72 of the Li2 table's cuts: all 46 terms are summed there, and
+    # their tail is not bounded by 1e-17.
+    g = _band_wedge(a, x, s, root)
+    if x > 0.0:
+        g -= PI * (2.0 * _log1p_minus_x(x) - x * x)
+    return g / EIGHT_PI
 
 
 def _inner_coeffs(lam: float) -> tuple[float, float]:

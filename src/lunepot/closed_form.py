@@ -18,11 +18,11 @@ argument is (eps^2 - 1 - a^2)/(2a) and the interior logarithm is exactly
 2*log(eps), which avoids the cancellation a naive chord-radius composition
 would suffer at small radii.
 
-The wedge term itself is evaluated without the kernel dilogarithm: with
-z = -a*e^(2i*Phi), the reflection Li2(z) = pi^2/6 - log z*log(1-z) - Li2(1-z)
-and a Bernoulli series for Li2(1-z) - (1-z) give every piece of
-G(a, Phi) - pi*(1 - a^2) at the size of the result, O(eps^2*log eps), instead
-of as the difference of O(1) values, accurate to about 1e-16 of
+The wedge term itself calls no kernel dilogarithm: with z = -a*e^(2i*Phi),
+the reflection Li2(z) = pi^2/6 - log z*log(1-z) - Li2(1-z) and the kernel's
+Bernoulli table for Li2(1-z) - (1-z) give every piece of
+G(a, Phi) - pi*(1 - a^2) at the size of the result, O(eps^2*log eps),
+instead of as the difference of O(1) values, accurate to about 1e-16 of
 eps^2*|log eps^2| at every radius.  Each series is summed by straight-line
 Horner expressions built at import, one per cut length; the scalar
 ``lune_potential`` indexes them itself and calls nothing in ``geometry``,
@@ -37,7 +37,14 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ._kernels_py import _LOG_COEF, angular_primitive_core, cos_log_primitive_core, li2_parts
+from ._kernels_py import (
+    _LI2_EXCESS,
+    _LI2_TAYLOR,
+    _PowerSeries,
+    angular_primitive_core,
+    cos_log_primitive_core,
+    li2_parts,
+)
 from .errors import AccuracyWarning, DomainError
 from .geometry import (
     CLAMP_SLACK,
@@ -150,44 +157,6 @@ def radial_log_primitive(a: float, r: float) -> float:
     return (arc_term + cos_log_primitive_core(a, chi)) / EIGHT_PI
 
 
-def _first_case_parts(a: float, e: float) -> tuple[float, float, float]:
-    # cos/sin of the primitive argument doubled, plus the reduced interior
-    # logarithm, on the branch a^2 <= 1 + e^2 (also reused for the far
-    # branch, whose shifted angle reduces to the same expressions).
-    c2 = (e * e - 1.0 - a * a) / (2.0 * a)
-    if c2 > 1.0:
-        c2 = 1.0
-    elif c2 < -1.0:
-        c2 = -1.0
-    prod = (
-        (1.0 + a - e)
-        * (1.0 + a + e)
-        * (a - (1.0 - e))
-        * (e + (1.0 - a))
-    )
-    s2 = math.sqrt(prod) / (2.0 * a) if prod > 0.0 else 0.0
-    return c2, s2, 2.0 * math.log(e)
-
-
-def _second_case_parts(a: float, e: float) -> tuple[float, float, float]:
-    # same data on the branch a^2 > 1 + e^2, where the chord radius at the
-    # intersection angle is sigma = (a^2 - 1)/e
-    sigma = (a - 1.0) * (a + 1.0) / e
-    c2 = (sigma * sigma - 1.0 - a * a) / (2.0 * a)
-    if c2 > 1.0:
-        c2 = 1.0
-    elif c2 < -1.0:
-        c2 = -1.0
-    prod = (
-        (1.0 + a - sigma)
-        * (1.0 + a + sigma)
-        * (sigma + a - 1.0)
-        * (sigma + 1.0 - a)
-    )
-    s2 = math.sqrt(prod) / (2.0 * a) if prod > 0.0 else 0.0
-    return c2, s2, 2.0 * math.log(sigma)
-
-
 # The wedge term without cancellation.  On the band the primitive argument
 # is z = -a*e^(2i*Phi) = a*e^(i*theta), theta = 2*Phi - pi in [-pi/2, 0],
 # and w = 1 - z = d + i*a*s2 has modulus |w| = e and argument psi.  The
@@ -203,52 +172,12 @@ def _second_case_parts(a: float, e: float) -> tuple[float, float, float]:
 # costs an ulp of the result.  Beyond the unit distance the wedge adds
 # pi*(1 - a^2 + 2*log a) = pi*m.
 #
-# Li2(w) = sum B_k u^(k+1)/(k+1)! and w = sum (-1)^k u^(k+1)/(k+1)! in
-# u = -log z, so Li2(w) - w = u^2 * sum_(k>=1) (B_k - (-1)^k)/(k+1)! * u^(k-1).
-# No series below tests for convergence: each is cut, before it is summed,
-# at a length that a bound on its argument makes exact to 1e-17.
+# Li2(w) - w = u^2 * _LI2_EXCESS(u) in u = -log z (see _kernels_py).  No
+# series below tests for convergence: each is cut, before it is summed, at
+# a length that a bound on its argument makes exact to 1e-17.  For a in
+# [1/2, 2] and theta in [-pi/2, 0], |u| <= hypot(log 2, pi/2) < 1.72, inside
+# the cuts of _LI2_EXCESS.
 
-
-class _PowerSeries:
-    """sum coef[k] * t^k for a float, a complex or an array of either.
-
-    ``cuts`` lists (bound, length) pairs: for |t| <= bound the first
-    ``length`` terms leave a tail sum |coef[k]| * bound^k below 1e-17 of
-    |coef[0]| (checked in the tests).  Beyond the last bound the whole
-    table is summed.  ``_horner[bisect_left(_bounds, |t|)]`` sums a cut.
-    """
-
-    def __init__(self, coef, cuts):
-        self.coef = coef
-        self.cuts = cuts
-        self._bounds = tuple(bound for bound, _ in cuts)
-        self._horner = tuple(map(_compile_horner, [coef[:n] for _, n in cuts] + [coef]))
-
-    def __call__(self, t):
-        t_max = abs(t)
-        if type(t_max) is not float:  # an array
-            t_max = float(t_max.max())
-        return self._horner[bisect_left(self._bounds, t_max)](t)
-
-
-def _compile_horner(coef):
-    # lambda t: (c[n-1] * t + c[n-2]) * t + ... + c[0]: the operations of
-    # acc = acc * t + c from acc = 0.0 without the loop, whose first step
-    # gives c[n-1] exactly for a finite t; repr round-trips each float.
-    body = repr(coef[-1])
-    for c in coef[-2::-1]:
-        body = f"({body}) * t + {c!r}"
-    return eval(f"lambda t: {body}")
-
-
-# For a in [1/2, 2] and theta in [-pi/2, 0], |u| <= hypot(log 2, pi/2) < 1.72,
-# where 28 of the 46 terms reach 1e-17.
-_LI2_EXCESS = _PowerSeries(
-    tuple(c - (-1) ** k / math.factorial(k + 1) for k, c in enumerate(_LOG_COEF))[1:],
-    ((1e-4, 4), (1e-3, 5), (1e-2, 7), (0.1, 10), (0.7, 16), (1.72, 28)),
-)
-# sum z^n/n^2 to the same length, for |z| < 1/2 (remainder below 1e-17)
-_LI2_TAYLOR = _PowerSeries(tuple(1.0 / (n * n) for n in range(1, len(_LOG_COEF) + 1)), ())
 # theta - sin(theta) = theta^3 * (1/3! - theta^2/5! + ...), in t = theta^2 <= (pi/2)^2
 _SIN_TAIL = _PowerSeries(
     tuple((-1) ** (n + 1) / math.factorial(2 * n + 1) for n in range(1, 14)),

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,6 +30,7 @@ from .errors import DomainError, EpsilonRangeWarning
 PI = math.pi
 CLAMP_SLACK = 1e-12
 _tuple_new = tuple.__new__
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class Regime(enum.Enum):
@@ -80,6 +83,11 @@ class OverlapQuery(_QueryFields):
         return cls(math.hypot(x, y), eps)
 
 
+# namedtuple's _replace, inherited by OverlapQuery, calls _make from the
+# collections module; the radius warning looks past it
+_REPLACE_CODE = OverlapQuery._replace.__code__
+
+
 @dataclass(frozen=True)
 class IntersectionGeometry:
     """Vertices of the two-circle intersection and derived angles.
@@ -100,16 +108,20 @@ class IntersectionGeometry:
 
 
 def check_radius(eps: float) -> None:
-    """Reject a disc radius outside (0, 1); warn, at the caller of
-    ``OverlapQuery`` or of the array function that checks, for one above
-    1/2."""
+    """Reject a disc radius outside (0, 1); warn, at the first caller
+    outside this package, for one above 1/2."""
     if not (math.isfinite(eps) and 0.0 < eps < 1.0):
         raise DomainError(f"disc radius must lie in (0, 1), got {eps}")
     if eps > 0.5:
+        frame, level = sys._getframe(1), 2
+        while frame is not None and (
+            frame.f_code.co_filename.startswith(_PACKAGE_DIR) or frame.f_code is _REPLACE_CODE
+        ):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"disc radius {eps} is above 1/2; results are untested there",
             EpsilonRangeWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
 
 

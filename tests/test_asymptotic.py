@@ -58,7 +58,16 @@ class TestBandMaps:
 
 class TestBandCore:
     def test_vanishes_at_lower_edge(self):
+        # the double fl(1 - eps) can lie just inside the band (0.9 does at
+        # eps = 0.1, where the core is the reference's -5.5e-11), so the
+        # core is compared with the reference at that double; where 1 - eps
+        # is exact the core vanishes
+        from mp_reference import wedge
+
         for e in (0.25, 0.1, 0.01):
+            p = BandPoint(0.0, e)
+            assert abs(band_core(p) - float(wedge(from_band(p), e))) <= 1e-16 * e * e
+        for e in (2.0**-2, 2.0**-4, 2.0**-7):
             assert abs(band_core(BandPoint(0.0, e))) <= 1e-12
 
     def test_coincides_with_wedge_inside(self):
@@ -80,6 +89,25 @@ class TestBandCore:
         big_phi = phi_map(intersection_angle(q), a)
         want = (angular_primitive(a, big_phi) - (1.0 - a) * (1.0 + a) * PI) / (8.0 * PI)
         assert band_core(p) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("e", [1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5])
+    def test_against_mpmath(self, e):
+        # at the exact double a = from_band(p), away from the seam and from
+        # lam = 1, where the sigma substitution has a square-root endpoint:
+        # scaled on the inner branch, relative on the O(1) outer branch
+        from mp_reference import core
+
+        lam_star = ((e - 1.0) + math.sqrt(1.0 + e * e)) / (2.0 * e)
+        for lam in np.linspace(0.0, 0.99, 34)[1:].tolist():
+            if abs(lam - lam_star) < 0.02:
+                continue
+            p = BandPoint(lam, e)
+            a = from_band(p)
+            ref = float(core(a, e))
+            if (a - 1.0) * (a + 1.0) <= e * e:
+                assert abs(band_core(p) - ref) <= 1e-15 * e * e * abs(math.log(e * e))
+            elif lam >= 0.6:
+                assert abs(band_core(p) - ref) <= 1e-13 * abs(ref)
 
     def test_upper_edge_value(self):
         # at lam = 1 the primitive vanishes and the core is (a^2 - 1)/8
@@ -153,6 +181,20 @@ class TestSeries:
                 errs.append(abs(band_core(p) - band_core_series(p)) + 1e-300)
             slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
             assert slope >= 0.9
+
+    @pytest.mark.parametrize("lam", [0.1, 0.3, 0.45])
+    def test_inner_remainder_order_to_tiny_radii(self, lam):
+        # the two-term inner remainder is O(eps^3 log eps): local log-log
+        # slopes near 3 down to eps = 1e-12, compared at the band coordinate
+        # of the rounded distance as check_angle_series does
+        eps_list = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
+        errs = []
+        for e in eps_list:
+            p = BandPoint(lam, e)
+            lam_hat = to_band(from_band(p), e)
+            errs.append(abs(band_core(p) - band_core_series(lam_hat)))
+        slopes = np.diff(np.log(errs)) / np.diff(np.log(eps_list))
+        assert np.all((2.8 <= slopes) & (slopes <= 3.1)), slopes
 
     def test_branch_consistency_at_crossover(self):
         from lunepot.asymptotic import _inner_series, _outer_coeffs

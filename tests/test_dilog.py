@@ -143,12 +143,44 @@ class TestPath:
             im_dilog_on_path(0.5, 2.0)
 
 
-@pytest.mark.parametrize("r", [0.05, 0.5, 0.95, 1.0, 1.3, 2.0])
+HALF_BELOW = math.nextafter(0.5, 0.0)
+HALF_ABOVE = math.nextafter(0.5, 1.0)
+
+
+def _assert_matches_mpmath(mp, zs):
+    mp.mp.dps = 30
+    for z in zs:
+        ref = complex(mp.polylog(2, mp.mpc(z.real, z.imag)))
+        if z.imag == 0.0 and z.real > 1.0:
+            # on the cut the sign of the zero imaginary part picks the side
+            ref = complex(ref.real, math.copysign(float(mp.pi * mp.log(z.real)), z.imag))
+        assert abs(dilog(z) - ref) <= 5e-15 * max(abs(ref), 1.0), z
+
+
+@pytest.mark.parametrize("r", [0.05, HALF_BELOW, 0.5, HALF_ABOVE, 0.95, 1.0, 1.3, 2.0])
 def test_accuracy_against_mpmath(r):
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    for k in range(12):
-        theta = -PI + 2.0 * PI * (k + 0.5) / 12
-        z = r * cmath.exp(1j * theta)
-        ref = complex(mp.polylog(2, mp.mpc(z.real, z.imag)))
-        assert abs(dilog(z) - ref) <= 5e-15 * max(abs(ref), 1.0)
+    zs = [r * cmath.exp(1j * (-PI + 2.0 * PI * (k + 0.5) / 12)) for k in range(12)]
+    _assert_matches_mpmath(mp, zs)
+
+
+def _seam_points(seam):
+    # where the sums switch between the two tables and the reflection and
+    # inversion wrappers, with the ulp neighbours of each seam
+    if seam == "re-half":  # Re z = 1/2 on the unit disc
+        return [complex(x, i / 8.0) for x in (HALF_BELOW, 0.5, HALF_ABOVE) for i in range(-7, 8)]
+    if seam == "cut":  # real x > 1 with y = +0.0 and y = -0.0
+        xs = [math.nextafter(1.0, 2.0), 1.25, 1.5, 2.0, 2.5, 3.0, 10.0, 1e6]
+        return [complex(x, y) for x in xs for y in (0.0, -0.0)]
+    angles = [-PI + 2.0 * PI * (k + 0.5) / 24 for k in range(24)]
+    if seam == "reflected-half":  # |1 - z| = 1/2, the table switch after reflection
+        return [1.0 - r * cmath.exp(1j * t) for r in (HALF_BELOW, 0.5, HALF_ABOVE) for t in angles]
+    radius = {"unit-circle": 1.0, "radius-two": 2.0}[seam]  # inversion, and the image of |z| = 1/2
+    rs = (math.nextafter(radius, 0.0), radius, math.nextafter(radius, 3.0))
+    return [r * cmath.exp(1j * t) for r in rs for t in angles]
+
+
+@pytest.mark.parametrize("seam", ["re-half", "reflected-half", "unit-circle", "radius-two", "cut"])
+def test_accuracy_against_mpmath_at_seams(seam):
+    mp = pytest.importorskip("mpmath")
+    _assert_matches_mpmath(mp, _seam_points(seam))

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lunepot.asymptotic import lune_potential_series_array
-from lunepot.closed_form import lune_potential_array, lune_potential_profile_array
+from lunepot.closed_form import (
+    lune_potential_array,
+    lune_potential_point,
+    lune_potential_profile_array,
+)
 from lunepot.errors import DomainError, EpsilonRangeWarning
 from lunepot.geometry import (
     REGIMES,
@@ -127,8 +131,21 @@ class TestOverlapQuery:
         lambda: lune_potential_array([1.0], 0.7),
         lambda: lune_potential_profile_array([1.0], 0.7),
         lambda: lune_potential_series_array([1.0], 0.7),
+        lambda: OverlapQuery.from_point((0.6, 0.8), 0.7),
+        lambda: lune_potential_point((0.6, 0.8), 0.7),
+        lambda: OverlapQuery._make((1.0, 0.7)),
+        lambda: OverlapQuery(1.0, 0.3)._replace(eps=0.7),
     ],
-    ids=["OverlapQuery", "lune_potential_array", "lune_potential_profile_array", "lune_potential_series_array"],
+    ids=[
+        "OverlapQuery",
+        "lune_potential_array",
+        "lune_potential_profile_array",
+        "lune_potential_series_array",
+        "from_point",
+        "lune_potential_point",
+        "_make",
+        "_replace",
+    ],
 )
 def test_radius_warning_names_the_caller(call):
     with pytest.warns(EpsilonRangeWarning) as record:
