@@ -93,8 +93,11 @@ _LI2_EXCESS = _PowerSeries(
     tuple(c - (-1) ** k / math.factorial(k + 1) for k, c in enumerate(_LOG_COEF))[1:],
     ((1e-4, 4), (1e-3, 5), (1e-2, 7), (0.1, 10), (0.7, 16), (1.72, 28)),
 )
-# sum z^n/n^2 to the same length, for |z| <= 1/2 (remainder below 1e-17)
-_LI2_TAYLOR = _PowerSeries(tuple(1.0 / (n * n) for n in range(1, len(_LOG_COEF) + 1)), ())
+# sum z^(n-1)/n^2, cut like _LI2_EXCESS; all 46 terms reach 1e-17 for |z| <= 1/2
+_LI2_TAYLOR = _PowerSeries(
+    tuple(1.0 / (n * n) for n in range(1, len(_LOG_COEF) + 1)),
+    ((1e-4, 4), (1e-3, 6), (1e-2, 8), (0.1, 15), (0.25, 24), (0.4, 36)),
+)
 
 
 def _li2_small(z: complex) -> complex:

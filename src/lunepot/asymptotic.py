@@ -8,8 +8,8 @@ lam = (a-1)/(2*eps) + 1/2.  The rescaled core quantity
 
 (with G the angular primitive at the reduced half-angle) admits two-term
 and three-term expansions in eps on the two sides of the crossover
-a^2 = 1 + eps^2.  ``lune_potential_series`` (and its array form) is the
-series route: the sector plus the wedge term rebuilt from the inner
+a^2 = 1 + eps^2.  ``lune_potential_series`` is the series route, one lane
+of its array form: the sector plus the wedge term rebuilt from the inner
 expansion, which equals H~ itself up to the unit distance and
 
     F = H~ + (1 - a^2)/8 + log(a)/4
@@ -34,14 +34,15 @@ import numpy as np
 from ._kernels_py import im_li2_path
 from .closed_form import (
     _band_wedge,
+    _band_wedge_array,
+    _branch_from_wedge,
     _log1p_minus_x,
     _potential_array,
-    _wedge_branch_value_array,
     lune_potential,
     wedge_branch_value,
 )
 from .errors import DomainError
-from .geometry import OverlapQuery, check_queries, intersection_angle
+from .geometry import OverlapQuery, check_queries
 
 # perfbench/tracing.py wraps this former call of band_core under this name,
 # so it stays importable from here
@@ -142,10 +143,11 @@ def band_core(p: BandPoint) -> float:
     return g / EIGHT_PI
 
 
-def _inner_coeffs(lam: float) -> tuple[float, float]:
+def _inner_coeffs(lam):
+    # (c_log, c_quad) at a float or an array of band coordinates
     beta = 1.0 - 2.0 * lam
-    sq = math.sqrt(max(lam * (1.0 - lam), 0.0))
-    omega_p = math.acos(min(max(beta, -1.0), 1.0))
+    sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))
+    omega_p = np.arccos(np.clip(beta, -1.0, 1.0))
     c_log = beta * sq / (4.0 * PI)
     c_quad = beta * (beta * omega_p - 3.0 * sq) / (4.0 * PI)
     return c_log, c_quad
@@ -169,14 +171,14 @@ def band_coefficients(p: BandPoint) -> BandCoefficients:
     a = from_band(p)
     if (a - 1.0) * (a + 1.0) <= p.eps * p.eps:
         c_log, c_quad = _inner_coeffs(p.lam)
-        return BandCoefficients(branch="Inner", c_log=c_log, c_quad=c_quad)
+        return BandCoefficients(branch="Inner", c_log=float(c_log), c_quad=float(c_quad))
     if p.lam <= 0.5:
         raise DomainError(f"outer branch requires lam > 1/2, got {p.lam}")
     c0, c1, c2 = _outer_coeffs(p.lam)
     return BandCoefficients(branch="Outer", c0=c0, c1=c1, c2=c2)
 
 
-def _inner_series(lam: float, eps: float) -> float:
+def _inner_series(lam, eps: float):
     c_log, c_quad = _inner_coeffs(lam)
     e2 = eps * eps
     return c_log * e2 * math.log(e2) + c_quad * e2
@@ -189,7 +191,7 @@ def band_core_series(p: BandPoint) -> float:
     a = from_band(p)
     e = p.eps
     if (a - 1.0) * (a + 1.0) <= e * e:
-        return _inner_series(p.lam, e)
+        return float(_inner_series(p.lam, e))
     if 4.0 * p.lam - 2.0 < 1e-14:
         return band_core(p)
     c0, c1, c2 = _outer_coeffs(p.lam)
@@ -214,32 +216,13 @@ def band_angle_series(p: BandPoint) -> float:
     return base + sq * p.eps + 0.75 * beta * sq * p.eps * p.eps
 
 
-def _stable_wedge(a: float, e: float) -> float:
-    # series-based wedge term: the inner expansion gives the core
-    # H~ = (G - pi*(1-a^2))/(8*pi) directly; beyond the unit distance the
-    # wedge adds (1-a^2)/8 + log(a)/4, both computed cancellation-free from
-    # x = a - 1.
-    lam = 0.5 + 0.5 * (a - 1.0) / e
-    lam = min(max(lam, 0.0), 1.0)
-    ht = _inner_series(lam, e)
-    if a <= 1.0:
-        return ht
-    x = a - 1.0
-    return ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x
-
-
 def _stable_wedge_array(a: np.ndarray, x: np.ndarray, e: float, root) -> np.ndarray:
-    # _stable_wedge over arrays of band centre distances a and x = a - 1,
-    # lane for lane with the same operation order; root, unused, keeps the
-    # signature of closed_form._band_wedge_array for _potential_array
-    lam = np.clip(0.5 + 0.5 * x / e, 0.0, 1.0)
-    beta = 1.0 - 2.0 * lam
-    sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))
-    omega_p = np.arccos(np.clip(beta, -1.0, 1.0))
-    c_log = beta * sq / (4.0 * PI)
-    c_quad = beta * (beta * omega_p - 3.0 * sq) / (4.0 * PI)
-    e2 = e * e
-    ht = c_log * e2 * math.log(e2) + c_quad * e2
+    # series-based wedge term over band lanes a and x = a - 1: the inner
+    # expansion gives the core H~ = (G - pi*(1-a^2))/(8*pi) directly; beyond
+    # the unit distance the wedge adds (1-a^2)/8 + log(a)/4, both computed
+    # cancellation-free from x.  root, unused, keeps the signature of
+    # closed_form._band_wedge_array for _potential_array.
+    ht = _inner_series(np.clip(0.5 + 0.5 * x / e, 0.0, 1.0), e)
     return np.where(a > 1.0, ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x, ht)
 
 
@@ -251,18 +234,14 @@ def lune_potential_series(q: OverlapQuery) -> float:
     """Overlap potential through the paper's series route (``--mode
     asymptotic``): ``lune_potential`` off the band, and on it the exact
     sector plus the wedge term from the inner expansion.  Its error falls
-    with the radius, about 2e-7 of eps^2*|log eps^2| at eps = 1e-5."""
-    a, e = q.a, q.eps
-    if not -e < a - 1.0 < e:
-        return lune_potential(q)  # the nested constant or 0
-    e2 = e * e
-    phi = intersection_angle(q)
-    return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + 8.0 * _stable_wedge(a, e))
+    with the radius, about 2e-7 of eps^2*|log eps^2| at eps = 1e-5.  One
+    lane of ``lune_potential_series_array``."""
+    return float(_potential_array(np.array([q.a]), q.eps, _stable_wedge_array)[0][0])
 
 
 def lune_potential_series_array(a, eps: float) -> np.ndarray:
     """``lune_potential_series`` over an array of centre distances at one
-    radius, lane for lane.  Checks the radius, then the distances, as
+    radius.  Checks the radius, then the distances, as
     ``closed_form.lune_potential_array`` does."""
     return _potential_array(check_queries(a, eps), eps, _stable_wedge_array)[0]
 
@@ -275,7 +254,8 @@ def profile_value(a: float, eps: float) -> float:
 def profile_values(a: np.ndarray, eps: float) -> np.ndarray:
     """``profile_value`` over an array of band centre distances, as one
     array evaluation."""
-    return _wedge_branch_value_array(np.asarray(a, dtype=float), eps)
+    a = np.asarray(a, dtype=float)
+    return _branch_from_wedge(a, eps, _potential_array(a, eps, _band_wedge_array)[1])
 
 
 def band_profile(eps: float, grid_n: int):

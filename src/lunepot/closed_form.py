@@ -282,41 +282,19 @@ def _wedge(a: float, e: float) -> float:
     return _band_wedge(a, x, e, root) / EIGHT_PI
 
 
-def _wedge_array(a: np.ndarray, e: float) -> np.ndarray:
-    # _wedge over an array of centre distances, lane for lane; 0 off the
-    # open band
-    return _potential_array(a, e, _band_wedge_array)[1]
-
-
-def _wedge_branch_value(a: float, e: float) -> float:
-    # Primitive-difference branch value: equals the wedge term up to the
-    # unit distance, and its reflection-symmetric continuation beyond
-    # (orientation of the primitive limits kept fixed instead of following
-    # the region).  This is the quantity whose scaled band profile
-    # collapses onto a symmetric limit curve; it does not enter the
-    # potential.  On the near outer branch it is
-    # (G(a, Phi) - 2*pi*log a)/(8*pi) - G_turn/(4*pi) = wedge - (R + pi*m)/(4*pi),
-    # with G_turn the primitive at the turning half-angle (pi + 2*asin(1/a))/4
-    # and R = G_turn - pi*(1 - a^2).  There z = 1 - i*q, q = sqrt(x*(2 + x)),
-    # so theta = -atan(q), w = i*q and s2 = q/a: R + pi*m is _band_wedge
-    # with |w| = q in place of eps and root = 2*a*s2 = 2*q.
-    if a <= 1.0:
-        return _wedge(a, e)
-    x = a - 1.0
-    q2 = x * (2.0 + x)
-    if q2 < e * e:
-        q = math.sqrt(q2)
-        return _wedge(a, e) - _band_wedge(a, x, q, 2.0 * q) / (4.0 * PI)
-    return -_wedge(a, e)
-
-
-def _wedge_branch_value_array(a: np.ndarray, e: float) -> np.ndarray:
-    # _wedge_branch_value over an array of band centre distances
-    return _branch_from_wedge(a, e, _wedge_array(a, e))
-
-
 def _branch_from_wedge(a: np.ndarray, e: float, w: np.ndarray) -> np.ndarray:
-    # the branch value from the wedge w at the same distances
+    # The primitive-difference branch value from the wedge w at the same
+    # band distances: the wedge term up to the unit distance, and its
+    # reflection-symmetric continuation beyond (orientation of the primitive
+    # limits kept fixed instead of following the region).  This is the
+    # quantity whose scaled band profile collapses onto a symmetric limit
+    # curve; it does not enter the potential.  On the near outer branch it
+    # is (G(a, Phi) - 2*pi*log a)/(8*pi) - G_turn/(4*pi)
+    # = wedge - (R + pi*m)/(4*pi), with G_turn the primitive at the turning
+    # half-angle (pi + 2*asin(1/a))/4 and R = G_turn - pi*(1 - a^2).  There
+    # z = 1 - i*q, q = sqrt(x*(2 + x)), so theta = -atan(q), w = i*q and
+    # s2 = q/a: R + pi*m is _band_wedge with |w| = q in place of eps and
+    # root = 2*a*s2 = 2*q.
     x = a - 1.0
     out = np.where(x > 0.0, -w, w)
     near = (x > 0.0) & (x * (2.0 + x) < e * e)
@@ -354,7 +332,7 @@ def wedge_branch_value(q: OverlapQuery) -> float:
     Used by the band-profile diagnostics only.
     """
     _require_band(q)
-    return _wedge_branch_value(q.a, q.eps)
+    return float(_branch_from_wedge(np.array([q.a]), q.eps, np.array([_wedge(q.a, q.eps)]))[0])
 
 
 def wedge_term_reordered(q: OverlapQuery) -> float:

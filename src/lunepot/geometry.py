@@ -151,19 +151,7 @@ def classify_regime(q: OverlapQuery) -> Regime:
     (x >= eps) intervals are closed, the unit distance is its own tag, and
     the tie a^2 == 1 + eps^2 falls to the far overlap branch.
     """
-    a, e = q.a, q.eps
-    x = a - 1.0
-    if x <= -e:
-        return Regime.NESTED
-    if x < 0.0:
-        return Regime.OVERLAP_INNER_DISC
-    if x == 0.0:
-        return Regime.OVERLAP_AT_UNIT
-    if x >= e:
-        return Regime.OUTSIDE
-    if a * a < 1.0 + e * e:
-        return Regime.OVERLAP_OUTER_NEAR
-    return Regime.OVERLAP_OUTER_FAR
+    return REGIMES[int(classify_regimes(q.a, q.eps))]
 
 
 REGIMES = tuple(Regime)
@@ -171,8 +159,8 @@ REGIMES = tuple(Regime)
 
 def classify_regimes(a: np.ndarray, eps: float) -> np.ndarray:
     """``classify_regime`` over an array of centre distances at one radius,
-    with the same boundary conventions: the index in REGIMES of each
-    point's regime."""
+    with the boundary conventions documented there: the index in REGIMES of
+    each point's regime."""
     a = np.asarray(a, dtype=float)
     e = eps
     x = a - 1.0

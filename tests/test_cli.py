@@ -430,6 +430,20 @@ def test_module_entry_point():
     assert proc.stdout.strip().split(",")[2] == "Nested"
 
 
+def test_module_entry_point_prints_warnings_as_lines():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lunepot", "sweep", "--eps", "0.7", "--n", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: EpsilonRangeWarning: disc radius 0.7 is above 1/2; results are untested there\n"
+    )
+
+
 def test_no_environment_variable_selects_kernels():
     # the kernels have one implementation; a stale backend request in the
     # environment must neither fail the import nor change what runs

@@ -303,18 +303,22 @@ class TestArrayEvaluation:
     )
     @settings(max_examples=300, deadline=None)
     def test_wedge_array_matches_scalar(self, t, eps):
+        from lunepot.asymptotic import profile_values
         from lunepot.closed_form import (
+            _band_wedge_array,
+            _potential_array,
             _wedge,
-            _wedge_array,
-            _wedge_branch_value,
-            _wedge_branch_value_array,
+            wedge_branch_value,
         )
 
         a = min(max(1.0 + t * eps, 1.0 - eps), 1.0 + eps)
         bound = 1e-13 * _scale(eps)
-        assert abs(_wedge_array(np.array([a]), eps)[0] - _wedge(a, eps)) <= bound
-        branch = _wedge_branch_value_array(np.array([a]), eps)[0]
-        assert abs(branch - _wedge_branch_value(a, eps)) <= bound
+        wedge = _potential_array(np.array([a]), eps, _band_wedge_array)[1][0]
+        assert abs(wedge - _wedge(a, eps)) <= bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EpsilonRangeWarning)
+            want = wedge_branch_value(OverlapQuery(a, eps))
+        assert abs(profile_values(np.array([a]), eps)[0] - want) <= bound
 
     @pytest.mark.parametrize("eps", [1e-4, 3e-3, 0.1, 0.5, 0.8])
     def test_potential_array_matches_scalar(self, eps):
@@ -419,7 +423,7 @@ class TestSeriesLengths:
         assert abs(beyond) * self.U_MAX ** (k + 1) < 1e-17
         assert _LI2_EXCESS.cuts[-1][0] >= self.U_MAX
 
-    @pytest.mark.parametrize("name", ["_LI2_EXCESS", "_SIN_TAIL", "_LOG1P_TAIL"])
+    @pytest.mark.parametrize("name", ["_LI2_EXCESS", "_LI2_TAYLOR", "_SIN_TAIL", "_LOG1P_TAIL"])
     def test_cuts_reach_1e_17(self, name):
         from lunepot import closed_form
 
@@ -482,9 +486,8 @@ def test_straight_line_horner_matches_loop(name):
     series = getattr(closed_form, name)
     rng = np.random.default_rng(20261018)
     # (bound, length) of every cut, then the whole table up to 1.5 times the
-    # last bound (to |z| = 1/2 for the Taylor table, which has no cuts)
-    last = series.cuts[-1][0] * 1.5 if series.cuts else 0.5
-    spans = list(series.cuts) + [(last, len(series.coef))]
+    # last bound
+    spans = list(series.cuts) + [(series.cuts[-1][0] * 1.5, len(series.coef))]
     assert len(series._horner) == len(spans)
     for i, (bound, n) in enumerate(spans):
         coef = series.coef[:n]
