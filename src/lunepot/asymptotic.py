@@ -21,7 +21,7 @@ computed cancellation-free from x = a - 1.
 The stable evaluator needs no series: ``closed_form`` evaluates the wedge
 without cancellation, to about 1e-16 of eps^2*|log eps^2| at every radius,
 so ``lune_potential_stable`` is ``closed_form.lune_potential`` itself.
-``band_core`` forms H through the same closed-form wedge.
+``band_core`` forms H through the same closed-form wedge, over one lane.
 """
 
 from __future__ import annotations
@@ -33,23 +33,21 @@ import numpy as np
 
 from ._kernels_py import im_li2_path
 from .closed_form import (
-    _band_wedge,
     _band_wedge_array,
-    _branch_from_wedge,
     _log1p_minus_x,
     _potential_array,
     lune_potential,
+    profile_values,
     wedge_branch_value,
 )
 from .errors import DomainError
-from .geometry import OverlapQuery, check_queries
+from .geometry import OverlapQuery, check_queries, check_radius
 
 # perfbench/tracing.py wraps this former call of band_core under this name,
 # so it stays importable from here
 from ._kernels_py import angular_primitive_core  # noqa: F401
 
 PI = math.pi
-EIGHT_PI = 8.0 * PI
 
 __all__ = [
     "BandPoint",
@@ -120,43 +118,51 @@ def band_core(p: BandPoint) -> float:
 
     Below the unit distance this equals the wedge term itself; above it
     encodes the nontrivial primitive contribution of the outer branches.
-    Formed without cancellation by ``closed_form._band_wedge``, with the
-    chord radius eps replaced by (a^2 - 1)/eps where a^2 > 1 + eps^2: a few
-    1e-17 of eps^2*|log eps^2| on the inner branch and 1e-14 relative on
-    the outer branch, away from its ends, at radii from 1e-14 to 1/2.
+    Formed without cancellation by ``closed_form._band_wedge_array`` over
+    one lane, with the chord radius eps replaced by (a^2 - 1)/eps where
+    a^2 > 1 + eps^2: a few 1e-17 of eps^2*|log eps^2| on the inner branch
+    and 1e-14 relative on the outer branch, away from its ends, at radii
+    from 1e-14 to 1/2.
     """
-    a = from_band(p)
     e = p.eps
+    a = np.array([from_band(p)])
     x = a - 1.0
     q2 = x * (2.0 + x)
-    s = e if q2 <= e * e else q2 / e
+    s = np.where(q2 <= e * e, e, q2 / e)
     # from_band can round x an ulp past +/-eps: the clamp then makes root
     # exactly 0 with |w| = s, the band-edge value
-    s = min(max(s, abs(x)), 2.0 + x)
-    root = math.sqrt((2.0 + x - s) * (2.0 + x + s) * (x + s) * (s - x))
+    s = np.minimum(np.maximum(s, np.abs(x)), 2.0 + x)
+    root = np.sqrt((2.0 + x - s) * (2.0 + x + s) * (x + s) * (s - x))
     # On the outer branch theta runs on to -pi at lam = 1, so |u| exceeds
     # the 1.72 of the Li2 table's cuts: all 46 terms are summed there, and
-    # their tail is not bounded by 1e-17.
-    g = _band_wedge(a, x, s, root)
-    if x > 0.0:
-        g -= PI * (2.0 * _log1p_minus_x(x) - x * x)
-    return g / EIGHT_PI
+    # their tail is not bounded by 1e-17.  The wedge adds pi*m beyond the
+    # unit distance, which the core leaves out.
+    h = _band_wedge_array(a, x, s, root)
+    if x[0] > 0.0:
+        h -= (2.0 * _log1p_minus_x(x) - x * x) / 8.0
+    return float(h[0])
+
+
+def _band_angle(lam, sign: float = 1.0):
+    # (beta, sq, omega) = (sign*(1 - 2*lam), sqrt(lam*(1 - lam)),
+    # arccos(beta)) at a float or an array of band coordinates: the angle
+    # data of both coefficient branches (sign -1 on the outer one) and of
+    # band_angle_series
+    beta = sign * (1.0 - 2.0 * lam)
+    sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))
+    return beta, sq, np.arccos(np.clip(beta, -1.0, 1.0))
 
 
 def _inner_coeffs(lam):
     # (c_log, c_quad) at a float or an array of band coordinates
-    beta = 1.0 - 2.0 * lam
-    sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))
-    omega_p = np.arccos(np.clip(beta, -1.0, 1.0))
+    beta, sq, omega_p = _band_angle(lam)
     c_log = beta * sq / (4.0 * PI)
     c_quad = beta * (beta * omega_p - 3.0 * sq) / (4.0 * PI)
     return c_log, c_quad
 
 
 def _outer_coeffs(lam: float) -> tuple[float, float, float]:
-    beta = 2.0 * lam - 1.0
-    sq = math.sqrt(max(lam * (1.0 - lam), 0.0))
-    omega_m = math.acos(min(max(beta, -1.0), 1.0))
+    beta, sq, omega_m = map(float, _band_angle(lam, -1.0))
     lg = math.log(2.0 * beta)
     im = im_li2_path(1.0, math.cos(2.0 * omega_m), math.sin(2.0 * omega_m))
     c0 = (im + 4.0 * beta * (1.0 - lg) * sq) / (4.0 * PI)
@@ -210,9 +216,7 @@ def unit_wedge_series(eps: float) -> float:
 def band_angle_series(p: BandPoint) -> float:
     """Three-term expansion of the intersection angle in band coordinates:
     arccos(1-2*lam) + sqrt(lam(1-lam))*eps + (3/4)(1-2*lam)sqrt(lam(1-lam))*eps^2."""
-    beta = 1.0 - 2.0 * p.lam
-    sq = math.sqrt(max(p.lam * (1.0 - p.lam), 0.0))
-    base = math.acos(min(max(beta, -1.0), 1.0))
+    beta, sq, base = map(float, _band_angle(p.lam))
     return base + sq * p.eps + 0.75 * beta * sq * p.eps * p.eps
 
 
@@ -251,13 +255,6 @@ def profile_value(a: float, eps: float) -> float:
     return wedge_branch_value(OverlapQuery(a, eps))
 
 
-def profile_values(a: np.ndarray, eps: float) -> np.ndarray:
-    """``profile_value`` over an array of band centre distances, as one
-    array evaluation."""
-    a = np.asarray(a, dtype=float)
-    return _branch_from_wedge(a, eps, _potential_array(a, eps, _band_wedge_array)[1])
-
-
 def band_profile(eps: float, grid_n: int):
     """Branch-value profile scaled by eps^2*log(eps^2) on a uniform band
     grid, plus the asymmetry index.
@@ -270,8 +267,7 @@ def band_profile(eps: float, grid_n: int):
     """
     if grid_n < 3:
         raise DomainError(f"grid size must be >= 3, got {grid_n}")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"disc radius must lie in (0, 1), got {eps}")
+    check_radius(eps)
     lams = np.linspace(0.0, 1.0, grid_n)
     scale = eps * eps * math.log(eps * eps)
     scaled = profile_values(1.0 - (1.0 - 2.0 * lams) * eps, eps) / scale

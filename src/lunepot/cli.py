@@ -165,6 +165,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.grid_n < 2:
+        raise DomainError(f"validate needs --grid-n >= 2, got {args.grid_n}")
     eps_list = tuple(args.eps) if args.eps else (0.5, 0.1, 0.01)
     results = [
         _checks.check_oracle_agreement(eps_list, args.grid_n, args.tol),

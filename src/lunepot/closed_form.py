@@ -24,9 +24,12 @@ Bernoulli table for Li2(1-z) - (1-z) give every piece of
 G(a, Phi) - pi*(1 - a^2) at the size of the result, O(eps^2*log eps),
 instead of as the difference of O(1) values, accurate to about 1e-16 of
 eps^2*|log eps^2| at every radius.  Each series is summed by straight-line
-Horner expressions built at import, one per cut length; the scalar
-``lune_potential`` indexes them itself and calls nothing in ``geometry``,
-and ``lune_potential_array`` runs the same formulas over arrays.
+Horner expressions built at import, one per cut length.  The wedge is
+written twice: inline in the scalar ``lune_potential``, which indexes the
+Horner expressions itself and calls nothing in ``geometry``, and in
+``_band_wedge_array``, which ``lune_potential_array`` runs over arrays and
+every other user (``wedge_term``, ``wedge_branch_value``,
+``asymptotic.band_core``) runs over one lane.
 """
 
 from __future__ import annotations
@@ -191,15 +194,10 @@ _LOG1P_TAIL = _PowerSeries(
 _LOG1P_SERIES_MAX = 0.05
 
 
-def _log1p_minus_x(x):
-    """log1p(x) - x without cancellation, for a float or an array: the
-    series below |x| = 0.05, the direct difference (relative error under
-    1e-14) above."""
-    if isinstance(x, np.ndarray):
-        return np.where(np.abs(x) < _LOG1P_SERIES_MAX, x * x * _LOG1P_TAIL(x), np.log1p(x) - x)
-    if abs(x) < _LOG1P_SERIES_MAX:
-        return x * x * _LOG1P_TAIL(x)
-    return math.log1p(x) - x
+def _log1p_minus_x(x: np.ndarray) -> np.ndarray:
+    """log1p(x) - x without cancellation over an array: the series below
+    |x| = 0.05, the direct difference (relative error under 1e-14) above."""
+    return np.where(np.abs(x) < _LOG1P_SERIES_MAX, x * x * _LOG1P_TAIL(x), np.log1p(x) - x)
 
 
 def _im_li2_excess(u):
@@ -214,45 +212,21 @@ def _im_li2_excess_taylor(z, log_z, log_w):
     return -(log_z * log_w).imag - (z * _LI2_TAYLOR(z)).imag - (1.0 - z).imag
 
 
-# The scalar path indexes the straight-line evaluators itself, without
-# the type test and call of _PowerSeries.__call__.
+# lune_potential indexes the straight-line evaluators itself, without the
+# type test and call of _PowerSeries.__call__.
 _LI2_BOUNDS, _LI2_HORNER = _LI2_EXCESS._bounds, _LI2_EXCESS._horner
 _SIN_BOUNDS, _SIN_HORNER = _SIN_TAIL._bounds, _SIN_TAIL._horner
 _LOG1P_BOUNDS, _LOG1P_HORNER = _LOG1P_TAIL._bounds, _LOG1P_TAIL._horner
 
 
-def _band_wedge(a: float, x: float, e: float, root: float) -> float:
-    # 8*pi times the wedge term at x = a - 1 in (-e, e): the regrouped form
-    # above, plus pi*m beyond the unit distance.  root = 2a*s2 is the square
-    # root of (2 + x - e)(2 + x + e)(x + e)(e - x), exact at the band edges;
-    # theta and psi are its atan2 against -2a*c2 = 2 + q2 - e^2 and
-    # 2*Re w = e^2 - q2, with q2 = a^2 - 1.
-    e2 = e * e
-    q2 = x * (2.0 + x)
-    theta = math.atan2(-root, 2.0 + q2 - e2)
-    psi = math.atan2(root, e2 - q2)
-    log_e = math.log(e)
-    l1p = math.log1p(x)
-    if abs(x) < _LOG1P_SERIES_MAX:
-        m = 2.0 * (x * x * _LOG1P_HORNER[bisect_left(_LOG1P_BOUNDS, abs(x))](x)) - x * x
-    else:
-        m = 2.0 * (l1p - x) - x * x
-    if a < 0.5:
-        z = complex(0.5 * (2.0 + q2 - e2), -0.5 * root)
-        im = _im_li2_excess_taylor(z, complex(l1p, theta), complex(log_e, psi))
-    else:
-        u = complex(-l1p, -theta)
-        im = (u * u * _LI2_HORNER[bisect_left(_LI2_BOUNDS, abs(u))](u)).imag
-    t2 = theta * theta
-    tail = _SIN_HORNER[bisect_left(_SIN_BOUNDS, t2)](t2)
-    s2 = root / (2.0 * a)
-    g = -m * psi - q2 * theta - 2.0 * log_e * (theta * t2 * tail + x * s2) - 2.0 * im
-    return g + PI * m if x > 0.0 else g
-
-
 def _band_wedge_array(a, x, e, root):
-    # the wedge term itself, _band_wedge / (8*pi), over arrays, lane for
-    # lane; e a float or an array
+    # The wedge term over band lanes a, x = a - 1 in (-e, e), lane for lane:
+    # the regrouped form above, plus pi*m beyond the unit distance, over
+    # 8*pi; e a float or an array.  root = 2a*s2 is the square root of
+    # (2 + x - e)(2 + x + e)(x + e)(e - x), exact at the band edges; theta
+    # and psi are its atan2 against -2a*c2 = 2 + q2 - e^2 and
+    # 2*Re w = e^2 - q2, with q2 = a^2 - 1.  lune_potential repeats these
+    # operations on floats.
     e2 = e * e
     q2 = x * (2.0 + x)
     theta = np.arctan2(-root, 2.0 + q2 - e2)
@@ -271,17 +245,6 @@ def _band_wedge_array(a, x, e, root):
     return np.where(x > 0.0, g + PI * m, g) / EIGHT_PI
 
 
-def _wedge(a: float, e: float) -> float:
-    # The band edges x = -/+ eps belong to the nested and outside regimes
-    # (classify_regime), where the wedge is zero; just inside them it is
-    # O(sqrt(distance)).
-    x = a - 1.0
-    if x <= -e or x >= e:
-        return 0.0
-    root = math.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
-    return _band_wedge(a, x, e, root) / EIGHT_PI
-
-
 def _branch_from_wedge(a: np.ndarray, e: float, w: np.ndarray) -> np.ndarray:
     # The primitive-difference branch value from the wedge w at the same
     # band distances: the wedge term up to the unit distance, and its
@@ -293,8 +256,8 @@ def _branch_from_wedge(a: np.ndarray, e: float, w: np.ndarray) -> np.ndarray:
     # = wedge - (R + pi*m)/(4*pi), with G_turn the primitive at the turning
     # half-angle (pi + 2*asin(1/a))/4 and R = G_turn - pi*(1 - a^2).  There
     # z = 1 - i*q, q = sqrt(x*(2 + x)), so theta = -atan(q), w = i*q and
-    # s2 = q/a: R + pi*m is _band_wedge with |w| = q in place of eps and
-    # root = 2*a*s2 = 2*q.
+    # s2 = q/a: R + pi*m is 8*pi times _band_wedge_array with |w| = q in
+    # place of eps and root = 2*a*s2 = 2*q.
     x = a - 1.0
     out = np.where(x > 0.0, -w, w)
     near = (x > 0.0) & (x * (2.0 + x) < e * e)
@@ -319,7 +282,7 @@ def wedge_term(q: OverlapQuery) -> float:
     and is continuous across the interior thresholds.
     """
     _require_band(q)
-    return _wedge(q.a, q.eps)
+    return float(_potential_array(np.array([q.a]), q.eps, _band_wedge_array)[1][0])
 
 
 def wedge_branch_value(q: OverlapQuery) -> float:
@@ -329,10 +292,18 @@ def wedge_branch_value(q: OverlapQuery) -> float:
     it continues the primitive difference with fixed limit orientation
     instead of following the region, which makes its profile scaled by
     eps^2*log(eps^2) collapse onto a reflection-symmetric limit curve.
-    Used by the band-profile diagnostics only.
+    Used by the band-profile diagnostics only; one lane of
+    ``profile_values``.
     """
     _require_band(q)
-    return float(_branch_from_wedge(np.array([q.a]), q.eps, np.array([_wedge(q.a, q.eps)]))[0])
+    return float(profile_values(np.array([q.a]), q.eps)[0])
+
+
+def profile_values(a, eps: float) -> np.ndarray:
+    """``wedge_branch_value`` over an array of band centre distances at one
+    radius, as one array evaluation; unchecked."""
+    a = np.asarray(a, dtype=float)
+    return _branch_from_wedge(a, eps, _potential_array(a, eps, _band_wedge_array)[1])
 
 
 def wedge_term_reordered(q: OverlapQuery) -> float:
@@ -370,9 +341,31 @@ def lune_potential(q: OverlapQuery) -> float:
     if x >= e:
         return 0.0
     root = math.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
+    q2 = x * (2.0 + x)
     # the sector angle: sin and cos of intersection_angle times 2*a*eps
-    phi = math.atan2(root, -(x * (2.0 + x) + e2))
-    return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + _band_wedge(a, x, e, root) / PI)
+    phi = math.atan2(root, -(q2 + e2))
+    # 8*pi times the wedge: the operations of _band_wedge_array on floats
+    theta = math.atan2(-root, 2.0 + q2 - e2)
+    psi = math.atan2(root, e2 - q2)
+    log_e = math.log(e)
+    l1p = math.log1p(x)
+    if abs(x) < _LOG1P_SERIES_MAX:
+        m = 2.0 * (x * x * _LOG1P_HORNER[bisect_left(_LOG1P_BOUNDS, abs(x))](x)) - x * x
+    else:
+        m = 2.0 * (l1p - x) - x * x
+    if a < 0.5:
+        z = complex(0.5 * (2.0 + q2 - e2), -0.5 * root)
+        im = _im_li2_excess_taylor(z, complex(l1p, theta), complex(log_e, psi))
+    else:
+        u = complex(-l1p, -theta)
+        im = (u * u * _LI2_HORNER[bisect_left(_LI2_BOUNDS, abs(u))](u)).imag
+    t2 = theta * theta
+    tail = _SIN_HORNER[bisect_left(_SIN_BOUNDS, t2)](t2)
+    s2 = root / (2.0 * a)
+    g = -m * psi - q2 * theta - 2.0 * log_e * (theta * t2 * tail + x * s2) - 2.0 * im
+    if x > 0.0:
+        g += PI * m
+    return 0.25 * ((PI - phi) / PI * e2 * (math.log(e2) - 1.0) + g / PI)
 
 
 def lune_potential_array(a, eps: float) -> np.ndarray:
@@ -387,7 +380,7 @@ def lune_potential_array(a, eps: float) -> np.ndarray:
 
 
 def lune_potential_profile_array(a, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``lune_potential_array`` and ``asymptotic.profile_values`` over the
+    """``lune_potential_array`` and ``profile_values`` over the
     same centre distances, from one evaluation of the wedge."""
     a = check_queries(a, eps)
     values, wedge = _potential_array(a, eps, _band_wedge_array)
@@ -399,7 +392,9 @@ def _potential_array(a: np.ndarray, e: float, band_wedge):
     # the sector plus 8 times the wedge band_wedge(a, x, e, root) of the
     # band lanes, with that wedge (0 off the band); ``a`` is already
     # checked.  One root serves the sector angle, as in lune_potential,
-    # and the wedge.
+    # and the wedge.  The band edges x = -/+ e belong to the nested and
+    # outside regimes, where the wedge is 0; just inside them it is
+    # O(sqrt(distance)).
     x = a - 1.0
     e2 = e * e
     out = np.zeros(a.shape)

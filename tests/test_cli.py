@@ -358,6 +358,14 @@ class TestValidate:
         assert "eps,eta" in out
         assert "asymmetry-index" in out
 
+    @pytest.mark.parametrize("grid_n", ["0", "1", "-5"])
+    def test_grid_n_below_2_exit_2(self, capsys, grid_n):
+        # 0 and 1 would check no oracle point and pass; -5 would reach numpy
+        code, out, err = run_cli(capsys, "validate", "--eps", "0.5", "--grid-n", grid_n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: validate needs --grid-n >= 2, got {grid_n}\n"
+
 
 class TestDiagnostics:
     def test_profile_file(self, capsys, tmp_path):
@@ -441,6 +449,20 @@ def test_module_entry_point_prints_warnings_as_lines():
     assert proc.returncode == 0
     assert proc.stderr == (
         "warning: EpsilonRangeWarning: disc radius 0.7 is above 1/2; results are untested there\n"
+    )
+
+
+def test_module_entry_point_diagnostics_warns_above_half():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lunepot", "diagnostics", "--eps", "0.7", "--n", "5"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[0] == (
+        "warning: EpsilonRangeWarning: disc radius 0.7 is above 1/2; results are untested there"
     )
 
 

@@ -303,22 +303,19 @@ class TestArrayEvaluation:
     )
     @settings(max_examples=300, deadline=None)
     def test_wedge_array_matches_scalar(self, t, eps):
+        # the scalar core's inline wedge against _band_wedge_array, and the
+        # branch value as one lane of profile_values
         from lunepot.asymptotic import profile_values
-        from lunepot.closed_form import (
-            _band_wedge_array,
-            _potential_array,
-            _wedge,
-            wedge_branch_value,
-        )
+        from lunepot.closed_form import _band_wedge_array, _potential_array, wedge_branch_value
 
         a = min(max(1.0 + t * eps, 1.0 - eps), 1.0 + eps)
         bound = 1e-13 * _scale(eps)
-        wedge = _potential_array(np.array([a]), eps, _band_wedge_array)[1][0]
-        assert abs(wedge - _wedge(a, eps)) <= bound
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EpsilonRangeWarning)
-            want = wedge_branch_value(OverlapQuery(a, eps))
-        assert abs(profile_values(np.array([a]), eps)[0] - want) <= bound
+            q = OverlapQuery(a, eps)
+        value = _potential_array(np.array([a]), eps, _band_wedge_array)[0][0]
+        assert abs(value - lune_potential(q)) <= bound
+        assert wedge_branch_value(q) == profile_values(np.array([a]), eps)[0]
 
     @pytest.mark.parametrize("eps", [1e-4, 3e-3, 0.1, 0.5, 0.8])
     def test_potential_array_matches_scalar(self, eps):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lunepot.asymptotic import lune_potential_series_array
+from lunepot.asymptotic import band_profile, lune_potential_series_array
 from lunepot.closed_form import (
     lune_potential_array,
     lune_potential_point,
@@ -131,6 +131,7 @@ class TestOverlapQuery:
         lambda: lune_potential_array([1.0], 0.7),
         lambda: lune_potential_profile_array([1.0], 0.7),
         lambda: lune_potential_series_array([1.0], 0.7),
+        lambda: band_profile(0.7, 5),
         lambda: OverlapQuery.from_point((0.6, 0.8), 0.7),
         lambda: lune_potential_point((0.6, 0.8), 0.7),
         lambda: OverlapQuery._make((1.0, 0.7)),
@@ -141,6 +142,7 @@ class TestOverlapQuery:
         "lune_potential_array",
         "lune_potential_profile_array",
         "lune_potential_series_array",
+        "band_profile",
         "from_point",
         "lune_potential_point",
         "_make",
