@@ -10,12 +10,13 @@ Bernoulli form of Li2(z) - z in u = -log(1 - z) (Lewin, *Polylogarithms
 and Associated Functions*, 1981), each cut at a length that a bound on its
 argument makes exact to 1e-17: no sum tests for convergence or has a cap.
 
-``wedge_panel``, the quadrature oracle's hot loop, evaluates its integrand
-inline over one node table instead of calling ``_wedge_f`` per node.  It
-keeps ``_panel``'s operation order, so its results are bit-identical to
-``_panel(_wedge_f, ...)``.  ``wedge_panel_turn`` is the same panel in the
-substituted variable tau = sqrt(theta - theta_t) that the oracle uses
-beyond the unit distance.
+``wedge_panel``, the quadrature oracle's hot loop, integrates the wedge in
+the arc angle beta of the unit circle, (1 - a*cos beta)*(log s^2 - 1) with
+h = sin^2(beta/2) written as (-x + 2a*h)*(log(x^2 + 4a*h) - 1), x = a - 1:
+one sin and one log per node.  It evaluates that integrand inline over one
+node table instead of calling ``_wedge_f`` per node, and keeps ``_panel``'s
+operation order, so its results are bit-identical to
+``_panel(_wedge_f, ...)``.
 """
 
 from __future__ import annotations
@@ -204,39 +205,45 @@ def chord_radius_core(theta: float, a: float) -> float:
 
 
 # Gauss-Kronrod 15/7 pair on [-1, 1]; positive abscissae, centre last.
+# QUADPACK dqk15's values (Piessens et al., 1983), each rounded once to double.
 _XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.99145537112081263920685469752633,
+    0.94910791234275852452618968404785,
+    0.86486442335976907278971278864093,
+    0.74153118559939443986386477328079,
+    0.58608723546769113029414484569301,
+    0.40584515137739716690660641207696,
+    0.20778495500789846760068940377324,
 )
 _WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
+    0.02293532201052922496373200805897,
+    0.06309209262997855329070066318920,
+    0.10479001032225018383987632254152,
+    0.14065325971552591874518959051024,
+    0.16900472663926790282658342659855,
+    0.19035057806478540991325640242101,
+    0.20443294007529889241416199923465,
 )
-_WGK_C = 0.209482141084728
+_WGK_C = 0.20948214108472782801299917489171
 _WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
+    0.12948496616886969327061143267908,
+    0.27970539148927666790146777142378,
+    0.38183005050511894495036977548898,
 )
-_WG_C = 0.417959183673469
+_WG_C = 0.41795918367346938775510204081633
 
 
-def _wedge_f(theta: float, a: float) -> float:
-    s = chord_radius_core(theta, a)
-    t = s * s
+def _wedge_f(beta: float, arg: tuple[float, float, float, float]) -> float:
+    # (1 - a cos beta)(log s^2 - 1) at the arc angle beta, with
+    # h = sin^2(beta/2): 1 - a cos beta = -x + 2a h, s^2 = x^2 + 4a h;
+    # arg = (-x, x^2, 2a, 4a), x = a - 1
+    nx, x2, a2, a4 = arg
+    sh = math.sin(0.5 * beta)
+    h = sh * sh
+    t = x2 + a4 * h
     if t < 1e-300:
         return 0.0
-    return t * (math.log(t) - 1.0)
+    return (nx + a2 * h) * (math.log(t) - 1.0)
 
 
 def _cos_log_f(u: float, a: float) -> float:
@@ -248,7 +255,7 @@ def _cos_log_f(u: float, a: float) -> float:
     return -(1.0 - a * c) * (math.log(arg) - 1.0)
 
 
-def _panel(f, a: float, lo: float, hi: float):
+def _panel(f, a, lo: float, hi: float):
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     fc = f(c, a)
@@ -267,102 +274,36 @@ def _panel(f, a: float, lo: float, hi: float):
 _GK_TABLE = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
 
 
-def wedge_panel(a: float, lo: float, hi: float):
-    """15- and 7-point estimates of the integral of s^2*(log s^2 - 1) over
-    [lo, hi] in the polar angle.
+def wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):
+    """15- and 7-point estimates of the integral of
+    (1 - a cos beta)(log s^2 - 1) over [lo, hi] in the arc angle beta,
+    arg = (-x, x^2, 2a, 4a) with x = a - 1.
 
-    ``_panel(_wedge_f, a, lo, hi)`` with the chord radius and the integrand
-    written out at each node, in the same operation order: the results are
-    bit-identical, without two Python calls per node.
+    ``_panel(_wedge_f, arg, lo, hi)`` with the integrand written out at
+    each node, in the same operation order: the results are bit-identical,
+    without two Python calls per node.
     """
     sin = math.sin
-    cos = math.cos
-    sqrt = math.sqrt
     log = math.log
+    nx, x2, a2, a4 = arg
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    na = -a
-    st = a * sin(c)
-    d = 1.0 - st * st
-    if d < 0.0:
-        d = 0.0
-    s = na * cos(c) + sqrt(d)
-    t = s * s
-    fc = 0.0 if t < 1e-300 else t * (log(t) - 1.0)
+    sh = sin(0.5 * c)
+    hc = sh * sh
+    t = x2 + a4 * hc
+    fc = 0.0 if t < 1e-300 else (nx + a2 * hc) * (log(t) - 1.0)
     k = _WGK_C * fc
     g = _WG_C * fc
     for x, wk, wg in _GK_TABLE:
         dx = h * x
-        theta = c + dx
-        st = a * sin(theta)
-        d = 1.0 - st * st
-        if d < 0.0:
-            d = 0.0
-        s = na * cos(theta) + sqrt(d)
-        t = s * s
-        fp = 0.0 if t < 1e-300 else t * (log(t) - 1.0)
-        theta = c - dx
-        st = a * sin(theta)
-        d = 1.0 - st * st
-        if d < 0.0:
-            d = 0.0
-        s = na * cos(theta) + sqrt(d)
-        t = s * s
-        fm = 0.0 if t < 1e-300 else t * (log(t) - 1.0)
-        k += wk * (fp + fm)
-        if wg:
-            g += wg * (fp + fm)
-    return k * h, g * h
-
-
-def wedge_panel_turn(arg: tuple[float, float], lo: float, hi: float):
-    """15- and 7-point estimates of the integral of s^2*(log s^2 - 1) over
-    theta = theta_t + tau^2 for tau in [lo, hi], arg = (theta_t, a): the
-    integrand in tau is 2*tau*s^2*(log s^2 - 1).
-
-    At a turning angle theta_t of a > 1, where a*|sin theta_t| = 1, the
-    chord radius has a square-root endpoint in theta; in tau it is smooth.
-    Written out like ``wedge_panel``: bit-identical to ``_panel`` over
-    2*tau*_wedge_f(theta_t + tau*tau, a).
-    """
-    sin = math.sin
-    cos = math.cos
-    sqrt = math.sqrt
-    log = math.log
-    theta_t, a = arg
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    na = -a
-    theta = theta_t + c * c
-    st = a * sin(theta)
-    d = 1.0 - st * st
-    if d < 0.0:
-        d = 0.0
-    s = na * cos(theta) + sqrt(d)
-    t = s * s
-    fc = 2.0 * c * (0.0 if t < 1e-300 else t * (log(t) - 1.0))
-    k = _WGK_C * fc
-    g = _WG_C * fc
-    for x, wk, wg in _GK_TABLE:
-        dx = h * x
-        tau = c + dx
-        theta = theta_t + tau * tau
-        st = a * sin(theta)
-        d = 1.0 - st * st
-        if d < 0.0:
-            d = 0.0
-        s = na * cos(theta) + sqrt(d)
-        t = s * s
-        fp = 2.0 * tau * (0.0 if t < 1e-300 else t * (log(t) - 1.0))
-        tau = c - dx
-        theta = theta_t + tau * tau
-        st = a * sin(theta)
-        d = 1.0 - st * st
-        if d < 0.0:
-            d = 0.0
-        s = na * cos(theta) + sqrt(d)
-        t = s * s
-        fm = 2.0 * tau * (0.0 if t < 1e-300 else t * (log(t) - 1.0))
+        sh = sin(0.5 * (c + dx))
+        hb = sh * sh
+        t = x2 + a4 * hb
+        fp = 0.0 if t < 1e-300 else (nx + a2 * hb) * (log(t) - 1.0)
+        sh = sin(0.5 * (c - dx))
+        hb = sh * sh
+        t = x2 + a4 * hb
+        fm = 0.0 if t < 1e-300 else (nx + a2 * hb) * (log(t) - 1.0)
         k += wk * (fp + fm)
         if wg:
             g += wg * (fp + fm)

@@ -96,7 +96,8 @@ def check_branch_continuity(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Jump of the potential and of the wedge term across the branch
-    thresholds, probed at the given offsets.
+    thresholds, probed at the given offset or at 1e-3*eps where that is
+    smaller, so that the probes stay inside the band at every radius.
 
     The potential is tested at all four thresholds.  The wedge term is
     tested two-sided at the interior thresholds 1 and sqrt(1+eps^2); at
@@ -111,12 +112,13 @@ def check_branch_continuity(
     for e in eps_list:
         pot = lambda a: lune_potential(OverlapQuery(a, e))
         wed = lambda a: wedge_term(OverlapQuery(a, e))
+        probe = min(offset, 1e-3 * e)
         for th in (1.0 - e, 1.0, math.sqrt(1.0 + e * e), 1.0 + e):
-            d = abs(_jump(pot, th, offset))
+            d = abs(_jump(pot, th, probe))
             if d > worst:
                 worst, where = d, f"E at {th:.6g}, eps={e:g}"
         for th in (1.0, math.sqrt(1.0 + e * e)):
-            d = abs(_jump(wed, th, offset))
+            d = abs(_jump(wed, th, probe))
             if d > worst:
                 worst, where = d, f"F at {th:.6g}, eps={e:g}"
         lo, hi = 1.0 - e, 1.0 + e

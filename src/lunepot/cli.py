@@ -30,7 +30,14 @@ from .asymptotic import (
 )
 from .closed_form import lune_potential, lune_potential_array, lune_potential_profile_array
 from .errors import DomainError, EpsilonRangeWarning
-from .geometry import REGIMES, OverlapQuery, check_queries, classify_regime, classify_regimes
+from .geometry import (
+    REGIMES,
+    OverlapQuery,
+    check_queries,
+    check_radius,
+    classify_regime,
+    classify_regimes,
+)
 from .quadrature import MIN_TOL, quad_lune
 
 # cli's former calls into other layers; perfbench/tracing.py still wraps
@@ -168,6 +175,8 @@ def cmd_validate(args) -> int:
     if args.grid_n < 2:
         raise DomainError(f"validate needs --grid-n >= 2, got {args.grid_n}")
     eps_list = tuple(args.eps) if args.eps else (0.5, 0.1, 0.01)
+    for e in eps_list:
+        check_radius(e)
     results = [
         _checks.check_oracle_agreement(eps_list, args.grid_n, args.tol),
         _checks.check_branch_continuity(eps_list),

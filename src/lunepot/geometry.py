@@ -29,6 +29,8 @@ from .errors import DomainError, EpsilonRangeWarning
 
 PI = math.pi
 CLAMP_SLACK = 1e-12
+# the smallest radius whose square is a normal double: 2^-511
+EPS_MIN = math.sqrt(sys.float_info.min)
 _tuple_new = tuple.__new__
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -53,9 +55,9 @@ class OverlapQuery(_QueryFields):
     """A single evaluation point: centre distance ``a`` and radius ``eps``.
 
     An immutable NamedTuple, checked on every construction, ``_make`` and
-    ``_replace`` included.  ``eps`` must lie in (0, 1); values above 1/2
-    are accepted with a warning since the closed forms remain valid there
-    but are untested.
+    ``_replace`` included.  ``eps`` must lie in [EPS_MIN, 1); values above
+    1/2 are accepted with a warning since the closed forms remain valid
+    there but are untested.
     """
 
     __slots__ = ()
@@ -73,7 +75,7 @@ class OverlapQuery(_QueryFields):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a >= 0.0):
             raise DomainError(f"centre distance must be finite and >= 0, got {self.a}")
-        if not (math.isfinite(self.eps) and 0.0 < self.eps <= 0.5):
+        if not EPS_MIN <= self.eps <= 0.5:
             check_radius(self.eps)  # raises or warns; skipped on the common path
 
     @classmethod
@@ -108,10 +110,11 @@ class IntersectionGeometry:
 
 
 def check_radius(eps: float) -> None:
-    """Reject a disc radius outside (0, 1); warn, at the first caller
-    outside this package, for one above 1/2."""
-    if not (math.isfinite(eps) and 0.0 < eps < 1.0):
-        raise DomainError(f"disc radius must lie in (0, 1), got {eps}")
+    """Reject a disc radius outside [EPS_MIN, 1), where EPS_MIN ~ 1.49e-154
+    is the smallest radius whose square is a normal double; warn, at the
+    first caller outside this package, for one above 1/2."""
+    if not EPS_MIN <= eps < 1.0:
+        raise DomainError(f"disc radius must lie in [{EPS_MIN:.3g}, 1), got {eps}")
     if eps > 0.5:
         frame, level = sys._getframe(1), 2
         while frame is not None and (

@@ -2,26 +2,27 @@
 
 The closed forms are validated against adaptive panel bisection with an
 embedded 15/7-point Gauss-Kronrod pair: ``quad_wedge`` integrates the
-wedge integrand s^2*(log s^2 - 1)/(8*pi) over the polar angle,
-``quad_lune`` assembles the full potential (circular sector done
-analytically, wedge numerically), and ``quad_cos_log`` checks the
+wedge term, ``quad_lune`` assembles the full potential (circular sector
+done analytically, wedge numerically), and ``quad_cos_log`` checks the
 cosine-log primitive.  ``quad_lune_tensor`` is a deliberately slow fully
 2D cross-check of the oracle itself.
 
-The error estimate is the summed |high - low| over panels; panels adjacent
-to integrable log endpoints are bisected until the pair agrees.  Two
-features of the wedge integrand are handled before bisection.  Beyond the
-unit distance every angular interval starts at or just above a turning
-angle theta_t (pi - alpha or 2*pi - alpha, alpha = asin(1/a)), where the
-chord radius has a square-root endpoint; there the integral is taken in
-tau = sqrt(theta - theta_t), dtheta = 2*tau*dtau, where the integrand is
-smooth.  Inside the unit distance, [0, phi] is broken at pi/2 when phi
-exceeds it: just below a = 1 the integrand is nearly zero up to pi/2 and
-lives in a thin layer past it, which one panel's nodes can miss.
+The wedge integral of s^2*(log s^2 - 1)/(8*pi) over the polar angle theta
+about the small disc's centre C = (a, 0) is taken along the arc of the
+unit circle inside the small disc instead: at the arc point
+P = (cos beta, sin beta), s^2 = |P - C|^2 = 1 + a^2 - 2a*cos(beta) and
+s^2 dtheta = (1 - a*cos(beta)) dbeta, so the integrand
+(1 - a*cos(beta))*(log s^2 - 1) runs over beta in [0, beta_V], with
+sin^2(beta_V/2) = (eps + x)*(eps - x)/(4a) and x = a - 1.  It is smooth on
+that one interval at every centre distance; beyond the unit distance
+1 - a*cos(beta) changes sign at cos(beta) = 1/a, which subtracts the part
+of the region bounded from below by the unit circle.
 
-The driver returns once the first panels meet the tolerance, as
-QUADPACK's qag does, and builds a heap only to bisect.  ``quad_lune``
-takes the sector angle from ``intersection_angle``'s core.
+The error estimate is the summed |high - low| over panels; panels adjacent
+to integrable log endpoints are bisected until the pair agrees.  The
+driver returns once the first panel meets the tolerance, as QUADPACK's
+qag does, and builds a heap only to bisect.  ``quad_lune`` takes the
+sector angle from ``intersection_angle``'s core.
 """
 
 from __future__ import annotations
@@ -32,17 +33,15 @@ import warnings
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ._kernels_py import _panel, cos_log_panel, wedge_panel, wedge_panel_turn
+from ._kernels_py import _panel, cos_log_panel, wedge_panel
 from .errors import DomainError, QuadratureWarning
-from .geometry import OverlapQuery, Regime, _band_angle, classify_regime, intersection_angle
+from .geometry import OverlapQuery, Regime, _band_angle, classify_regime
 
-# quadrature's former call into geometry; perfbench/tracing.py still wraps
-# it under this name, so it stays importable from here
-from .geometry import angular_region  # noqa: F401
+# quadrature's former calls into geometry; perfbench/tracing.py still wraps
+# them under these names, so they stay importable from here
+from .geometry import angular_region, intersection_angle  # noqa: F401
 
 PI = math.pi
-HALF_PI = 0.5 * PI
-TWO_PI = 2.0 * PI
 EIGHT_PI = 8.0 * PI
 
 MIN_TOL = 1e-13
@@ -60,9 +59,9 @@ __all__ = [
 
 class QuadResult(NamedTuple):
     """Value of an adaptive quadrature with its error estimate, the size of
-    the final partition (initial intervals plus bisections, 1 for a closed
-    form; the panels evaluated number twice that less the initial
-    intervals), and whether the tolerance was reached."""
+    the final partition (1 plus the bisections, 1 for a closed form; the
+    panels evaluated number twice that less 1), and whether the tolerance
+    was reached."""
 
     value: float
     err_estimate: float
@@ -77,48 +76,38 @@ def _check_tol(tol: float) -> None:
 
 def _run_adaptive(
     panel: Callable[[object, float, float], tuple[float, float]],
-    intervals: list[tuple[float, float, float, object]],
+    arg: object,
+    lo: float,
+    hi: float,
     tol: float,
     budget: int,
 ) -> tuple[float, float, int, bool]:
-    # (value, error estimate, subdivisions, converged) of the weighted sum
-    # over intervals (lo, hi, w, arg) of panel(arg, lo, hi); the +/-1
-    # weight lets region parts bounded from below by the unit circle
-    # subtract.  Keys (-e, seq) are unique: pops ignore how the heap was built.
-    heap: list[tuple[float, int, float, float, float, float, object]] = []
-    total = 0.0
-    err = 0.0
-    for lo, hi, w, arg in intervals:
-        if hi <= lo:
-            continue
-        k, g = panel(arg, lo, hi)
-        e = abs(k - g)
-        heap.append((-e, len(heap), lo, hi, w, w * k, arg))
-        total += w * k
-        err += e
-    count = seq = len(heap)
-    if count == 0:
+    # (value, error estimate, subdivisions, converged) of the integral of
+    # panel(arg, .) over [lo, hi].  Keys (-e, seq) are unique: pops ignore
+    # how the heap was built.
+    if hi <= lo:
         return 0.0, 0.0, 1, True
+    total, g = panel(arg, lo, hi)
+    err = abs(total - g)
     if err <= tol:
-        # the first panels converged: nothing to bisect
-        return total, err, count, True
-    heapq.heapify(heap)
+        # the first panel converged: nothing to bisect
+        return total, err, 1, True
+    heap: list[tuple[float, int, float, float, float]] = [(-err, 0, lo, hi, total)]
+    count = seq = 1
     while err > tol and count < budget:
-        neg_e, _, lo, hi, w, wk_old, arg = heapq.heappop(heap)
-        err += neg_e  # remove this panel's error
-        total -= wk_old
+        neg_e, _, lo, hi, k_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # interval at floating-point resolution; keep the estimate
-            total += wk_old
-            err -= neg_e
             break
+        err += neg_e  # remove this panel's error
+        total -= k_old
         for a, b in ((lo, mid), (mid, hi)):
             k, g = panel(arg, a, b)
             e = abs(k - g)
-            heapq.heappush(heap, (-e, seq, a, b, w, w * k, arg))
+            heapq.heappush(heap, (-e, seq, a, b, k))
             seq += 1
-            total += w * k
+            total += k
             err += e
         count += 1
     return total, err, count, err <= tol
@@ -152,43 +141,27 @@ def adaptive_quad(
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod 15/7 quadrature of a scalar callable."""
     _check_tol(tol)
-    value, err, count, converged = _run_adaptive(_unary_panel, [(lo, hi, 1.0, f)], tol, budget)
+    value, err, count, converged = _run_adaptive(_unary_panel, f, lo, hi, tol, budget)
     return _result(value, err, count, converged, tol)
 
 
-def _wedge_intervals(a: float, eps: float, phi: float):
-    # (panel, intervals) of the wedge integral for a band point with
-    # intersection angle phi.  Up to the unit distance: [0, phi] in theta,
-    # broken at pi/2.  Beyond it, the angular region of
-    # geometry.angular_region in tau about its turning angle: [pi - alpha,
-    # phi] and [2pi - alpha, 2pi] while a^2 < 1 + eps^2, [phi + pi, 2pi]
-    # after.  Parts beyond pi mirror the lower edge of the region, where
-    # the chord radius marks the inner boundary of the lune: they subtract.
-    if a < 1.0:
-        if phi > HALF_PI:
-            return wedge_panel, [(0.0, HALF_PI, 1.0, a), (HALF_PI, phi, 1.0, a)]
-        return wedge_panel, [(0.0, phi, 1.0, a)]
-    if a == 1.0:
-        return wedge_panel, [(HALF_PI, phi, 1.0, a)]
-    alpha = math.asin(1.0 / a)
-    top = math.sqrt(alpha)
-    lower = PI - alpha
-    # phi - (pi - alpha) = (phi + pi) - (2pi - alpha) >= 0, zero at the seam
-    cut = math.sqrt(max(phi - lower, 0.0))
-    upper_turn = (TWO_PI - alpha, a)
-    if a * a < 1.0 + eps * eps:
-        return wedge_panel_turn, [(0.0, top, -1.0, upper_turn), (0.0, cut, 1.0, (lower, a))]
-    return wedge_panel_turn, [(cut, top, -1.0, upper_turn)]
+def _arc_wedge(a: float, x: float, e: float, tol: float, budget: int):
+    # _run_adaptive over [0, beta_V] of the wedge integrand in the arc
+    # angle, x = a - 1; sin^2(beta_V/2) is clamped at 0 for a within a
+    # rounding slack outside the band
+    h = (e + x) * (e - x) / (4.0 * a)
+    end = 2.0 * math.asin(math.sqrt(h)) if h > 0.0 else 0.0
+    return _run_adaptive(wedge_panel, (-x, x * x, 2.0 * a, 4.0 * a), 0.0, end, tol, budget)
 
 
 def quad_wedge(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET) -> QuadResult:
-    """Wedge term by adaptive quadrature of s^2*(log s^2 - 1)/(8*pi) over
-    the polar angle: [0, phi] for a <= 1, the angular region beyond."""
+    """Wedge term by adaptive quadrature of (1 - a*cos b)*(log s^2 - 1)/(8*pi)
+    over the arc angle b of the unit circle inside the small disc."""
     _check_tol(tol)
-    if q.a < 1.0 - q.eps - 1e-12 or q.a > 1.0 + q.eps + 1e-12:
-        raise DomainError(f"a = {q.a} outside the overlap band for eps = {q.eps}")
-    panel, intervals = _wedge_intervals(q.a, q.eps, intersection_angle(q))
-    value, err, count, converged = _run_adaptive(panel, intervals, tol * EIGHT_PI, budget)
+    a, e = q.a, q.eps
+    if a < 1.0 - e - 1e-12 or a > 1.0 + e + 1e-12:
+        raise DomainError(f"a = {a} outside the overlap band for eps = {e}")
+    value, err, count, converged = _arc_wedge(a, a - 1.0, e, tol * EIGHT_PI, budget)
     return _result(value / EIGHT_PI, err / EIGHT_PI, count, converged, tol)
 
 
@@ -208,8 +181,7 @@ def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET)
     # inside the open band: quad_wedge's band check cannot fail here
     phi = _band_angle(a, x, e)
     sector = (PI - phi) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
-    panel, intervals = _wedge_intervals(a, e, phi)
-    value, err, count, converged = _run_adaptive(panel, intervals, 0.5 * tol * EIGHT_PI, budget)
+    value, err, count, converged = _arc_wedge(a, x, e, 0.5 * tol * EIGHT_PI, budget)
     value = sector + 2.0 * (value / EIGHT_PI)
     err = 2.0 * (err / EIGHT_PI)
     if converged:
@@ -227,7 +199,7 @@ def quad_cos_log(
         raise DomainError(f"modulus must lie in (0, 1], got {a}")
     if not 0.0 <= phi <= PI + 1e-12:
         raise DomainError(f"angle {phi} outside [0, pi]")
-    value, err, count, converged = _run_adaptive(cos_log_panel, [(0.0, phi, 1.0, a)], tol, budget)
+    value, err, count, converged = _run_adaptive(cos_log_panel, a, 0.0, phi, tol, budget)
     return _result(value, err, count, converged, tol)
 
 

@@ -16,3 +16,10 @@ def test_branch_continuity_at_rounded_band_edges():
     res = checks.check_branch_continuity((0.2, 0.3, 0.15, 0.45, 0.4))
     assert res.passed, res
     assert res.max_err < 1e-13
+
+
+def test_branch_continuity_at_small_radii():
+    # the probe offset shrinks to 1e-3*eps: a fixed 1e-9 put the probes
+    # outside the band below eps ~ 2e-9 and the check raised
+    res = checks.check_branch_continuity((1e-6, 1e-9, 1e-12))
+    assert res.passed, res

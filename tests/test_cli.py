@@ -65,6 +65,31 @@ class TestEval:
         assert code == 2
 
 
+class TestUnderflowingRadius:
+    # below 2^-511 ~ 1.49e-154 the radius squared is no longer a normal
+    # double; log(eps^2) died with a ValueError traceback at 1e-300
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--a", "0.5", "--eps", "1e-300"),
+            ("sweep", "--eps", "1e-300", "--n", "3", "--lambda-grid", "--scaled"),
+            ("diagnostics", "--eps", "1e-300", "--n", "5"),
+        ],
+        ids=["eval", "sweep", "diagnostics"],
+    )
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: disc radius must lie in [1.49e-154, 1), got 1e-300\n"
+
+    @pytest.mark.parametrize("a", ["0.5", "1", "1.5"])
+    def test_smallest_accepted_radius_is_finite(self, capsys, a):
+        code, out, _ = run_cli(capsys, "eval", "--a", a, "--eps", "1.5e-154")
+        assert code == 0
+        assert math.isfinite(float(out.strip().split(",")[3]))
+
+
 class TestSweep:
     def test_deterministic_output(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -357,6 +382,24 @@ class TestValidate:
         assert code == 0
         assert "eps,eta" in out
         assert "asymmetry-index" in out
+
+    def test_small_radius_runs_every_check(self, capsys):
+        # the continuity probes scale with the radius: a fixed 1e-9 offset
+        # left the band below eps ~ 2e-9 and the run exited 2
+        code, out, err = run_cli(capsys, "validate", "--eps", "1e-12", "--grid-n", "20")
+        assert code == 0
+        assert err == ""
+        assert "FAIL" not in out
+        assert out.splitlines()[-1].startswith("6/6 checks passed")
+
+    @pytest.mark.parametrize("eps", ["nan", "1e-300"])
+    def test_bad_radius_exit_2(self, capsys, eps):
+        # the radii are checked before any check runs: nan used to be
+        # reported as a bad centre distance
+        code, out, err = run_cli(capsys, "validate", "--eps", "0.5", "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: disc radius must lie in")
 
     @pytest.mark.parametrize("grid_n", ["0", "1", "-5"])
     def test_grid_n_below_2_exit_2(self, capsys, grid_n):

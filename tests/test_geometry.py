@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lunepot.closed_form import (
 )
 from lunepot.errors import DomainError, EpsilonRangeWarning
 from lunepot.geometry import (
+    EPS_MIN,
     REGIMES,
     IntersectionGeometry,
     OverlapQuery,
@@ -52,10 +54,28 @@ class TestOverlapQuery:
         q = OverlapQuery(0.7, 0.3)
         assert q.a == 0.7
 
-    @pytest.mark.parametrize("a,eps", [(-0.1, 0.3), (math.inf, 0.3), (1.0, 0.0), (1.0, 1.0), (1.0, -0.2)])
+    @pytest.mark.parametrize(
+        "a,eps",
+        [
+            (-0.1, 0.3),
+            (math.inf, 0.3),
+            (1.0, 0.0),
+            (1.0, 1.0),
+            (1.0, -0.2),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (0.5, 1e-300),
+            (0.5, math.nextafter(EPS_MIN, 0.0)),
+        ],
+    )
     def test_rejects_invalid(self, a, eps):
         with pytest.raises(DomainError):
             OverlapQuery(a, eps)
+
+    def test_accepts_smallest_radius(self):
+        # below EPS_MIN = 2^-511 the radius squared is no longer a normal double
+        assert EPS_MIN == 2.0**-511 and EPS_MIN * EPS_MIN == sys.float_info.min
+        assert OverlapQuery(0.5, EPS_MIN).eps == EPS_MIN
 
     def test_warns_above_half(self):
         with pytest.warns(EpsilonRangeWarning):
