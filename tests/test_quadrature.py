@@ -87,14 +87,22 @@ class TestWedgePanel:
         assert kern.wedge_panel(arg, lo, hi) == kern._panel(kern._wedge_f, arg, lo, hi)
 
     @pytest.mark.parametrize(
-        "lo,hi", [(0.0, 1e-150), (-1e-3, 1e-3), (0.0, 1e-160), (1e-155, 1e-152)]
+        "lo,hi", [(0.25 * PI, 0.5 * PI), (1.0, 0.5 * PI + 0.3), (0.0, 1e-3), (0.0, PI)]
     )
     def test_zero_radius_guard(self, lo, hi):
-        # a = 1 at arc angles near 0: s^2 = 4 sin^2(beta/2) underflows
-        # below 1e-300 and takes the zero branch at some nodes
+        # a = 1 at arc angles near 0: s^2 = 4 sin^2(beta/2) drops below
+        # 1e-300 for beta below about 1e-150, so each window is taken in
+        # units of 1e-152 and takes the zero branch at some nodes
+        lo, hi = 1e-152 * lo, 1e-152 * hi
         arg = _arc_arg(1.0)
         assert any(4.0 * math.sin(0.5 * b) ** 2 < 1e-300 for b in _panel_nodes(lo, hi))
         assert kern.wedge_panel(arg, lo, hi) == kern._panel(kern._wedge_f, arg, lo, hi)
+
+    def test_zero_radius_guard_at_centre_node(self):
+        # a window of ordinary width centred on beta = 0: only the centre
+        # node takes the zero branch
+        arg = _arc_arg(1.0)
+        assert kern.wedge_panel(arg, -1e-3, 1e-3) == kern._panel(kern._wedge_f, arg, -1e-3, 1e-3)
 
 
 class TestGolden:
