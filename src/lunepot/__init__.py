@@ -24,7 +24,6 @@ from .asymptotic import (
 from .closed_form import (
     angular_primitive,
     cos_log_primitive,
-    disc_potential,
     lune_potential,
     lune_potential_point,
     radial_log_primitive,
@@ -35,7 +34,6 @@ from .closed_form import (
 from .dilog import dilog, dilog_lower_boundary, im_dilog_on_path
 from .errors import AccuracyWarning, DomainError, EpsilonRangeWarning, QuadratureWarning
 from .geometry import (
-    IntersectionGeometry,
     OverlapQuery,
     Regime,
     angular_region,
@@ -43,8 +41,6 @@ from .geometry import (
     chord_radius,
     classify_regime,
     intersection_angle,
-    intersection_points,
-    newtonian_kernel,
     phi_map,
 )
 from .quadrature import (
@@ -64,7 +60,6 @@ __all__ = [
     "BandPoint",
     "DomainError",
     "EpsilonRangeWarning",
-    "IntersectionGeometry",
     "OverlapQuery",
     "QuadResult",
     "QuadratureWarning",
@@ -85,15 +80,12 @@ __all__ = [
     "cos_log_primitive",
     "dilog",
     "dilog_lower_boundary",
-    "disc_potential",
     "from_band",
     "im_dilog_on_path",
     "intersection_angle",
-    "intersection_points",
     "lune_potential",
     "lune_potential_point",
     "lune_potential_stable",
-    "newtonian_kernel",
     "phi_map",
     "profile_value",
     "quad_cos_log",

@@ -16,7 +16,8 @@ h = sin^2(beta/2) written as (-x + 2a*h)*(log(x^2 + 4a*h) - 1), x = a - 1:
 one sin and one log per node.  It evaluates that integrand inline over one
 node table instead of calling ``_wedge_f`` per node, and keeps ``_panel``'s
 operation order, so its results are bit-identical to
-``_panel(_wedge_f, ...)``.
+``_panel(_wedge_f, ...)``.  ``cos_log_panel``, the panel of the cosine-log
+integrand, is the same panel negated: that integrand is the wedge's in u.
 """
 
 from __future__ import annotations
@@ -246,15 +247,6 @@ def _wedge_f(beta: float, arg: tuple[float, float, float, float]) -> float:
     return (nx + a2 * h) * (math.log(t) - 1.0)
 
 
-def _cos_log_f(u: float, a: float) -> float:
-    c = math.cos(u)
-    half = math.sin(0.5 * u)
-    arg = (1.0 - a) * (1.0 - a) + 4.0 * a * half * half
-    if arg < 1e-300:
-        return 0.0
-    return -(1.0 - a * c) * (math.log(arg) - 1.0)
-
-
 def _panel(f, a, lo: float, hi: float):
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -312,5 +304,8 @@ def wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):
 
 def cos_log_panel(a: float, lo: float, hi: float):
     """15- and 7-point estimates of the integral of
-    -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1) over [lo, hi]."""
-    return _panel(_cos_log_f, a, lo, hi)
+    -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1) over [lo, hi]: the negated
+    ``wedge_panel`` at x = a - 1, whose 1 - a*cos u = (1 - a) + 2a*sin^2(u/2)
+    does not cancel near a = 1."""
+    k, g = wedge_panel((1.0 - a, (1.0 - a) * (1.0 - a), 2.0 * a, 4.0 * a), lo, hi)
+    return -k, -g

@@ -41,7 +41,7 @@ from .closed_form import (
     wedge_branch_value,
 )
 from .errors import DomainError
-from .geometry import OverlapQuery, check_queries, check_radius
+from .geometry import EPS_MIN, OverlapQuery, check_band, check_queries, check_radius
 
 # perfbench/tracing.py wraps this former call of band_core under this name,
 # so it stays importable from here
@@ -70,16 +70,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BandPoint:
-    """Band coordinate lam in [0, 1] with the disc radius eps."""
+    """Band coordinate lam in [0, 1] with the disc radius eps, checked as
+    ``geometry.check_radius`` checks it."""
 
     lam: float
     eps: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and -1e-12 <= self.lam <= 1.0 + 1e-12):
+        if not -1e-12 <= self.lam <= 1.0 + 1e-12:
             raise DomainError(f"band coordinate {self.lam} outside [0, 1]")
-        if not (math.isfinite(self.eps) and 0.0 < self.eps < 1.0):
-            raise DomainError(f"disc radius must lie in (0, 1), got {self.eps}")
+        check_radius(self.eps)
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,11 @@ class BandCoefficients:
 
 
 def to_band(a: float, eps: float) -> BandPoint:
-    """Map a centre distance inside the band to its band coordinate."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"disc radius must lie in (0, 1), got {eps}")
-    if a < 1.0 - eps - 1e-12 or a > 1.0 + eps + 1e-12:
-        raise DomainError(f"a = {a} outside the band [1-eps, 1+eps]")
+    """Map a centre distance inside the band to its band coordinate,
+    checking the radius first."""
+    if not EPS_MIN <= eps < 1.0:
+        check_radius(eps)  # raises; above 1/2 only BandPoint warns, so once
+    check_band(a, eps)
     lam = 0.5 + 0.5 * (a - 1.0) / eps
     return BandPoint(min(max(lam, 0.0), 1.0), eps)
 
@@ -207,8 +207,8 @@ def band_core_series(p: BandPoint) -> float:
 def unit_wedge_series(eps: float) -> float:
     """Cubic expansion of the wedge term at the unit distance:
     (2*eps^3*log(eps^3) - 5*eps^3) / (144*pi)."""
-    if not 0.0 < eps <= 0.5:
-        raise DomainError(f"disc radius must lie in (0, 1/2], got {eps}")
+    if not EPS_MIN <= eps <= 0.5:
+        raise DomainError(f"disc radius must lie in [{EPS_MIN:.3g}, 1/2], got {eps}")
     e3 = eps * eps * eps
     return (6.0 * e3 * math.log(eps) - 5.0 * e3) / (144.0 * PI)
 

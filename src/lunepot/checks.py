@@ -414,17 +414,3 @@ def check_dilog_identities(
         "dilog-identities", worst <= 1.0, worst, 1.0, f"err/tol at {where}"
     )
 
-
-ALL_CHECKS = (
-    check_oracle_agreement,
-    check_branch_continuity,
-    check_representation_equivalence,
-    check_global_bound,
-    check_golden_tables,
-    check_series_accuracy,
-    check_unit_cubic_slope,
-    check_angle_series,
-    check_stability,
-    check_asymmetry,
-    check_dilog_identities,
-)

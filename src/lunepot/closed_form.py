@@ -6,7 +6,8 @@ circle.  ``F`` has two exact representations: a direct one built from the
 angular primitive ``angular_primitive`` (valid across the whole overlap
 band), and a change-of-order one built from radial primitives (valid for
 centre distances up to 1, retained purely as a cross-check because it
-cancels badly).  ``lune_potential`` assembles the full piecewise result.
+cancels badly).  ``lune_potential`` assembles the full piecewise result;
+the band-only terms check their distance with ``geometry.check_band``.
 
 For centre distances up to 1 the wedge term is the primitive difference
 (G(a, Phi) - G(a, pi/2))/(8*pi).  Beyond 1 the unit circle bounds the
@@ -52,6 +53,7 @@ from .errors import AccuracyWarning, DomainError
 from .geometry import (
     CLAMP_SLACK,
     OverlapQuery,
+    check_band,
     check_queries,
     intersection_angle,
 )
@@ -72,7 +74,6 @@ __all__ = [
     "lune_potential",
     "lune_potential_array",
     "lune_potential_profile_array",
-    "disc_potential",
 ]
 
 
@@ -84,8 +85,8 @@ def angular_primitive(a: float, phi: float) -> float:
     phi = pi/2 with a > 1 the value is -2*pi*log(a); for a <= 1 it is
     pi*(1 - a^2).
     """
-    if a <= 0.0:
-        raise DomainError(f"modulus must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"modulus must be finite and positive, got {a}")
     if not -1e-12 <= phi <= 0.5 * PI + 1e-12:
         raise DomainError(f"angle {phi} outside [0, pi/2]")
     two_phi = 2.0 * phi
@@ -137,7 +138,7 @@ def radial_log_primitive(a: float, r: float) -> float:
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"modulus must lie in (0, 1], got {a}")
-    if r < 1.0 - a - CLAMP_SLACK or r > 1.0 + a + CLAMP_SLACK:
+    if not 1.0 - a - CLAMP_SLACK <= r <= 1.0 + a + CLAMP_SLACK:
         raise DomainError(f"radius {r} outside [1-a, 1+a] for a = {a}")
     # The arccos arguments hit +/-1 at the endpoints r = 1 -/+ a; evaluate
     # both angles through factored sines so endpoint roundoff is not
@@ -268,20 +269,13 @@ def _branch_from_wedge(a: np.ndarray, e: float, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_band(q: OverlapQuery) -> None:
-    if q.a < 1.0 - q.eps - CLAMP_SLACK or q.a > 1.0 + q.eps + CLAMP_SLACK:
-        raise DomainError(
-            f"a = {q.a} outside the overlap band [1-eps, 1+eps] for eps = {q.eps}"
-        )
-
-
 def wedge_term(q: OverlapQuery) -> float:
     """Wedge part of the overlap potential: the contribution of the region
     cut by the unit circle, signed so that the sector-plus-wedge assembly
     reproduces the region integral.  Vanishes at both band edges 1 +/- eps
     and is continuous across the interior thresholds.
     """
-    _require_band(q)
+    check_band(q.a, q.eps)
     return float(_potential_array(np.array([q.a]), q.eps, _band_wedge_array)[1][0])
 
 
@@ -295,7 +289,7 @@ def wedge_branch_value(q: OverlapQuery) -> float:
     Used by the band-profile diagnostics only; one lane of
     ``profile_values``.
     """
-    _require_band(q)
+    check_band(q.a, q.eps)
     return float(profile_values(np.array([q.a]), q.eps)[0])
 
 
@@ -414,13 +408,6 @@ def _potential_array(a: np.ndarray, e: float, band_wedge):
 def lune_potential_point(point, eps: float) -> float:
     """Potential at a planar point; reduces to the norm and evaluates."""
     return lune_potential(OverlapQuery.from_point(point, eps))
-
-
-def disc_potential(x_norm: float) -> float:
-    """Potential of the full unit disc at an interior point: (|x|^2 - 1)/4."""
-    if not 0.0 <= x_norm <= 1.0:
-        raise DomainError(f"point norm {x_norm} outside the unit disc")
-    return 0.25 * (x_norm * x_norm - 1.0)
 
 
 def turning_angle_primitive_closed_form(a: float) -> float:

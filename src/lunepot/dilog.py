@@ -38,8 +38,8 @@ def dilog_lower_boundary(a: float) -> complex:
 
     For a > 1 the imaginary part is exactly -pi*log(a).
     """
-    if not a > 1.0:
-        raise DomainError(f"lower boundary value needs a > 1, got {a}")
+    if not 1.0 < a < math.inf:
+        raise DomainError(f"lower boundary value needs a finite a > 1, got {a}")
     return complex(*li2_parts(a, -0.0))
 
 
@@ -50,8 +50,8 @@ def im_dilog_on_path(a: float, phi: float) -> float:
     a <= 1) this is the principal branch; at phi = pi/2 with a > 1 it is
     the boundary value from below, -pi*log(a).
     """
-    if a < 0.0:
-        raise DomainError(f"modulus must be >= 0, got {a}")
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"modulus must be finite and >= 0, got {a}")
     if not -1e-12 <= phi <= 0.5 * math.pi + 1e-12:
         raise DomainError(f"path parameter {phi} outside [0, pi/2]")
     two_phi = 2.0 * phi

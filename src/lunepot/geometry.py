@@ -7,6 +7,7 @@ sits at distance ``a`` from the unit disc's centre.  Everything downstream
 ``1+eps``, and by the elementary maps defined here: the polar chord radius
 ``s``, its half-angle companion ``Phi``, the circle intersection angle, and
 the angular description of the region cut out beyond the unit distance.
+``check_radius`` and ``check_band`` decide the domain for every module.
 
 All functions are pure; radial symmetry reduces any planar query point to
 its norm.
@@ -19,7 +20,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +33,9 @@ CLAMP_SLACK = 1e-12
 EPS_MIN = math.sqrt(sys.float_info.min)
 _tuple_new = tuple.__new__
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+# code generated for the package's classes, such as a dataclass __init__,
+# has no file but runs in the globals of a package module
+_PACKAGE_PREFIX = __name__.rpartition(".")[0] + "."
 
 
 class Regime(enum.Enum):
@@ -90,25 +93,6 @@ class OverlapQuery(_QueryFields):
 _REPLACE_CODE = OverlapQuery._replace.__code__
 
 
-@dataclass(frozen=True)
-class IntersectionGeometry:
-    """Vertices of the two-circle intersection and derived angles.
-
-    ``t`` is the signed distance of the chord foot along the centre line,
-    ``h`` the half-chord height, ``v_plus``/``v_minus`` the two vertices
-    (mirror images across the centre line, upper one first), ``phi`` the
-    polar angle of the upper vertex, and ``alpha`` the turning angle
-    asin(1/a), defined only for a >= 1.
-    """
-
-    t: float
-    h: float
-    v_plus: tuple[float, float]
-    v_minus: tuple[float, float]
-    phi: float
-    alpha: float | None
-
-
 def check_radius(eps: float) -> None:
     """Reject a disc radius outside [EPS_MIN, 1), where EPS_MIN ~ 1.49e-154
     is the smallest radius whose square is a normal double; warn, at the
@@ -118,7 +102,9 @@ def check_radius(eps: float) -> None:
     if eps > 0.5:
         frame, level = sys._getframe(1), 2
         while frame is not None and (
-            frame.f_code.co_filename.startswith(_PACKAGE_DIR) or frame.f_code is _REPLACE_CODE
+            frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+            or frame.f_globals.get("__name__", "").startswith(_PACKAGE_PREFIX)
+            or frame.f_code is _REPLACE_CODE
         ):
             frame, level = frame.f_back, level + 1
         warnings.warn(
@@ -126,6 +112,13 @@ def check_radius(eps: float) -> None:
             EpsilonRangeWarning,
             stacklevel=level,
         )
+
+
+def check_band(a: float, eps: float) -> None:
+    """Reject a centre distance outside the overlap band [1-eps, 1+eps],
+    within CLAMP_SLACK; a nan distance is rejected too."""
+    if not 1.0 - eps - CLAMP_SLACK <= a <= 1.0 + eps + CLAMP_SLACK:
+        raise DomainError(f"a = {a} outside the overlap band [1-eps, 1+eps] for eps = {eps}")
 
 
 def check_queries(a, eps: float) -> np.ndarray:
@@ -137,13 +130,6 @@ def check_queries(a, eps: float) -> np.ndarray:
     if bad.any():
         raise DomainError(f"centre distance must be finite and >= 0, got {a[bad].flat[0]}")
     return a
-
-
-def newtonian_kernel(r: float) -> float:
-    """Radial profile log(r^2)/(4*pi) of the planar logarithmic kernel."""
-    if not (r > 0.0):
-        raise DomainError(f"kernel radius must be positive, got {r}")
-    return math.log(r * r) / (4.0 * PI)
 
 
 def classify_regime(q: OverlapQuery) -> Regime:
@@ -200,8 +186,10 @@ def chord_radius(theta: float, a: float) -> float:
     seen from the origin.  For a > 1 it exists only for angles with
     |sin(theta)| <= 1/a (within a small clamp slack at the edges).
     """
-    if a < 0.0:
-        raise DomainError(f"centre distance must be >= 0, got {a}")
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"centre distance must be finite and >= 0, got {a}")
+    if not -math.inf < theta < math.inf:
+        raise DomainError(f"angle must be finite, got {theta}")
     if a > 1.0:
         st = a * math.sin(theta)
         if st * st > 1.0 + CLAMP_SLACK:
@@ -224,16 +212,16 @@ def intersection_angle(q: OverlapQuery) -> float:
     a, e = q.a, q.eps
     if a == 0.0:
         raise DomainError("intersection angle undefined at zero centre distance")
+    check_band(a, e)
     return _band_angle(a, a - 1.0, e)
 
 
 def _band_angle(a: float, x: float, e: float) -> float:
-    # intersection_angle from x = a - 1, for a > 0; quadrature.quad_lune
-    # calls it directly.  The clamps are written out: they are on its path.
+    # intersection_angle from x = a - 1, for a > 0 in the band;
+    # quadrature.quad_lune calls it directly on the open band.  The clamps
+    # are written out: they are on its path.
     lo = x + e                  # a - (1 - eps)
     hi = (1.0 - a) + e          # (1 + eps) - a
-    if lo < -CLAMP_SLACK or hi < -CLAMP_SLACK:
-        raise DomainError(f"a = {a} outside the overlap band [1-eps, 1+eps]")
     cos_phi = -(x * (2.0 + x) + e * e) / (2.0 * a * e)
     if not -1.0 <= cos_phi <= 1.0:
         cos_phi = _clamped_unit(cos_phi, "intersection-angle cosine")
@@ -253,36 +241,6 @@ def phi_map(theta: float, a: float) -> float:
     """Half-angle map Phi(theta) = arccos(L(theta)) / 2, in [0, pi/2]."""
     val = _clamped_unit(big_l(theta, a), "half-angle cosine")
     return 0.5 * math.acos(val)
-
-
-def intersection_points(q: OverlapQuery) -> IntersectionGeometry:
-    """Intersection vertices of the two circles, for a in [1-eps, 1+eps].
-
-    With the unit disc centred at (-a, 0) and the eps-disc at the origin,
-    the vertices are ((1 - a^2 - eps^2)/(2a), +/- h) with
-    h = sqrt(((a+eps)^2 - 1)(1 - (a-eps)^2)) / (2a).
-    """
-    a, e = q.a, q.eps
-    if a == 0.0 or a < 1.0 - e - CLAMP_SLACK or a > 1.0 + e + CLAMP_SLACK:
-        raise DomainError(f"a = {a} outside the overlap band [1-eps, 1+eps]")
-    disc = ((a + e) ** 2 - 1.0) * (1.0 - (a - e) ** 2)
-    if disc < 0.0:
-        if disc < -CLAMP_SLACK:
-            raise DomainError(f"negative intersection discriminant {disc}")
-        disc = 0.0
-    t = (a * a + e * e - 1.0) / (2.0 * a)
-    h = math.sqrt(disc) / (2.0 * a)
-    vx = -t
-    phi = math.atan2(h, -t)
-    alpha = math.asin(_clamped_unit(1.0 / a, "turning-angle sine")) if a >= 1.0 else None
-    return IntersectionGeometry(
-        t=t,
-        h=h,
-        v_plus=(vx, h),
-        v_minus=(vx, -h),
-        phi=phi,
-        alpha=alpha,
-    )
 
 
 def angular_region(q: OverlapQuery) -> list[tuple[float, float]]:

@@ -4,8 +4,8 @@ The closed forms are validated against adaptive panel bisection with an
 embedded 15/7-point Gauss-Kronrod pair: ``quad_wedge`` integrates the
 wedge term, ``quad_lune`` assembles the full potential (circular sector
 done analytically, wedge numerically), and ``quad_cos_log`` checks the
-cosine-log primitive.  ``quad_lune_tensor`` is a deliberately slow fully
-2D cross-check of the oracle itself.
+cosine-log primitive with the wedge's panel, negated.  ``quad_lune_tensor``
+is a deliberately slow fully 2D cross-check of the oracle itself.
 
 The wedge integral of s^2*(log s^2 - 1)/(8*pi) over the polar angle theta
 about the small disc's centre C = (a, 0) is taken along the arc of the
@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 from ._kernels_py import _panel, cos_log_panel, wedge_panel
 from .errors import DomainError, QuadratureWarning
-from .geometry import OverlapQuery, Regime, _band_angle, classify_regime
+from .geometry import OverlapQuery, Regime, _band_angle, check_band, classify_regime
 
 # quadrature's former calls into geometry; perfbench/tracing.py still wraps
 # them under these names, so they stay importable from here
@@ -159,8 +159,7 @@ def quad_wedge(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET
     over the arc angle b of the unit circle inside the small disc."""
     _check_tol(tol)
     a, e = q.a, q.eps
-    if a < 1.0 - e - 1e-12 or a > 1.0 + e + 1e-12:
-        raise DomainError(f"a = {a} outside the overlap band for eps = {e}")
+    check_band(a, e)
     value, err, count, converged = _arc_wedge(a, a - 1.0, e, tol * EIGHT_PI, budget)
     return _result(value / EIGHT_PI, err / EIGHT_PI, count, converged, tol)
 
@@ -178,7 +177,7 @@ def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET)
         return QuadResult(0.25 * e2 * (math.log(e2) - 1.0), 0.0, 1)
     if x >= e:
         return QuadResult(0.0, 0.0, 1)
-    # inside the open band: quad_wedge's band check cannot fail here
+    # inside the open band, so no band check is needed
     phi = _band_angle(a, x, e)
     sector = (PI - phi) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
     value, err, count, converged = _arc_wedge(a, x, e, 0.5 * tol * EIGHT_PI, budget)

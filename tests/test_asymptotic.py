@@ -54,6 +54,13 @@ class TestBandMaps:
             to_band(0.5, 0.1)
         with pytest.raises(DomainError):
             BandPoint(1.5, 0.1)
+        # below EPS_MIN, as check_radius has it: band_core read 0.0 at 1e-300
+        with pytest.raises(DomainError, match="disc radius"):
+            BandPoint(0.5, 1e-300)
+        with pytest.raises(DomainError, match="disc radius"):
+            to_band(1.0, 1e-300)
+        with pytest.raises(DomainError, match="disc radius"):
+            to_band(5.0, 1e-300)  # the radius is checked before the band
 
 
 class TestBandCore:
@@ -235,8 +242,10 @@ class TestUnitSeries:
         assert 4.5 <= slope <= 5.5
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            unit_wedge_series(0.9)
+        # at 1e-300 the cube underflowed and the series read -0.0
+        for eps in (0.9, 1e-300):
+            with pytest.raises(DomainError, match="disc radius"):
+                unit_wedge_series(eps)
 
 
 class TestAngleSeries:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lunepot.closed_form import (
     angular_primitive,
     cos_log_primitive,
-    disc_potential,
     lune_potential,
     lune_potential_point,
     radial_log_primitive,
@@ -267,21 +266,6 @@ class TestLunePotential:
         for xy in ((0.3, 0.4), (-0.9, 0.1), (0.0, 1.05)):
             a = math.hypot(*xy)
             assert lune_potential_point(xy, 0.2) == lune_potential(OverlapQuery(a, 0.2))
-
-
-class TestDiscPotential:
-    def test_boundary(self):
-        assert disc_potential(1.0) == 0.0
-
-    def test_centre(self):
-        assert disc_potential(0.0) == -0.25
-
-    def test_interior(self):
-        assert disc_potential(0.5) == -0.1875
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            disc_potential(1.5)
 
 
 def _scale(eps: float) -> float:

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lunepot.asymptotic import band_profile, lune_potential_series_array
+from lunepot.asymptotic import BandPoint, band_profile, lune_potential_series_array, to_band
 from lunepot.closed_form import (
+    angular_primitive,
     lune_potential_array,
     lune_potential_point,
     lune_potential_profile_array,
+    radial_log_primitive,
 )
+from lunepot.dilog import dilog_lower_boundary, im_dilog_on_path
 from lunepot.errors import DomainError, EpsilonRangeWarning
 from lunepot.geometry import (
     EPS_MIN,
     REGIMES,
-    IntersectionGeometry,
     OverlapQuery,
     Regime,
     angular_region,
@@ -27,8 +29,6 @@ from lunepot.geometry import (
     classify_regime,
     classify_regimes,
     intersection_angle,
-    intersection_points,
-    newtonian_kernel,
     phi_map,
 )
 
@@ -156,6 +156,8 @@ class TestOverlapQuery:
         lambda: lune_potential_point((0.6, 0.8), 0.7),
         lambda: OverlapQuery._make((1.0, 0.7)),
         lambda: OverlapQuery(1.0, 0.3)._replace(eps=0.7),
+        lambda: BandPoint(0.5, 0.7),
+        lambda: to_band(1.0, 0.7),
     ],
     ids=[
         "OverlapQuery",
@@ -167,25 +169,40 @@ class TestOverlapQuery:
         "lune_potential_point",
         "_make",
         "_replace",
+        "BandPoint",
+        "to_band",
     ],
 )
 def test_radius_warning_names_the_caller(call):
     with pytest.warns(EpsilonRangeWarning) as record:
         call()
+    assert len(record) == 1
     assert record[0].filename == __file__
 
 
-class TestKernel:
-    def test_unit_radius(self):
-        assert newtonian_kernel(1.0) == 0.0
-
-    def test_e_radius(self):
-        assert newtonian_kernel(math.e) == pytest.approx(1.0 / (2.0 * PI), rel=1e-15)
-
-    @pytest.mark.parametrize("r", [0.0, -1.0])
-    def test_singularity(self, r):
-        with pytest.raises(DomainError):
-            newtonian_kernel(r)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: angular_primitive(v, 0.3),
+        lambda v: im_dilog_on_path(v, 0.3),
+        lambda v: chord_radius(v, 0.5),
+        lambda v: chord_radius(0.3, v),
+        lambda v: radial_log_primitive(0.5, v),
+        lambda v: dilog_lower_boundary(v),
+    ],
+    ids=[
+        "angular_primitive",
+        "im_dilog_on_path",
+        "chord_radius-theta",
+        "chord_radius-a",
+        "radial_log_primitive",
+        "dilog_lower_boundary",
+    ],
+)
+def test_non_finite_inputs_raise(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 class TestClassify:
@@ -330,36 +347,6 @@ class TestPhiMap:
         e = 0.25
         q = OverlapQuery(1.0 - e, e)
         assert phi_map(intersection_angle(q), 1.0 - e) == pytest.approx(PI / 2, abs=1e-7)
-
-
-class TestIntersectionPoints:
-    @pytest.mark.parametrize("e", [0.25, 0.5])
-    def test_tangency(self, e):
-        for a in (1.0 - e, 1.0 + e):
-            geo = intersection_points(OverlapQuery(a, e))
-            assert geo.h == 0.0
-            assert geo.v_plus == geo.v_minus
-
-    def test_residuals_on_both_circles(self):
-        q = OverlapQuery(1.0, 0.3)
-        geo = intersection_points(q)
-        for v in (geo.v_plus, geo.v_minus):
-            assert abs(math.hypot(*v) - 0.3) <= 1e-13
-            assert abs(math.hypot(v[0] + 1.0, v[1]) - 1.0) <= 1e-13
-
-    def test_structure(self):
-        geo = intersection_points(OverlapQuery(1.05, 0.2))
-        assert isinstance(geo, IntersectionGeometry)
-        assert geo.v_plus[1] >= 0.0
-        assert geo.v_plus[0] == geo.v_minus[0]
-        assert geo.v_plus[1] == -geo.v_minus[1]
-        assert geo.alpha == pytest.approx(math.asin(1 / 1.05), abs=1e-15)
-        assert intersection_points(OverlapQuery(0.95, 0.2)).alpha is None
-        assert geo.phi == pytest.approx(intersection_angle(OverlapQuery(1.05, 0.2)), abs=1e-13)
-
-    def test_out_of_band(self):
-        with pytest.raises(DomainError):
-            intersection_points(OverlapQuery(0.2, 0.3))
 
 
 class TestAngularRegion:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,7 +146,7 @@ class TestGolden:
             1.5320937004417519, 7.814859870336477e-13, 4, True
         )
         assert quad_cos_log(1.0, 0.5) == QuadResult(
-            0.06313883403866928, 9.428827638964312e-13, 7, True
+            0.06313883403866931, 9.428920667534118e-13, 7, True
         )
 
     def test_adaptive(self):
@@ -373,6 +374,19 @@ class TestQuadCosLog:
     def test_domain(self):
         with pytest.raises(DomainError):
             quad_cos_log(1.5, 1.0)
+
+    def test_no_cancellation_near_unit_modulus(self):
+        # 1 - cos u formed by subtraction lost 0.8% of this value
+        def f(u):
+            # the integrand at a = 1
+            h = mpmath.sin(u / 2) ** 2
+            return -2 * h * (mpmath.log(4 * h) - 1)
+
+        with mpmath.workdps(50):
+            want = float(mpmath.quad(f, [0, mpmath.mpf(1e-7)]))
+        res = quad_cos_log(1.0, 1e-7)
+        assert res.converged
+        assert abs(res.value - want) <= 1e-8 * want
 
 
 class TestTensorCrossCheck:
