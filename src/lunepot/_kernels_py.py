@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 
 PI = math.pi
 PI2_6 = PI * PI / 6.0
+DBL_EPSILON = sys.float_info.epsilon
 
 
 def backend_name() -> str:
@@ -174,14 +176,20 @@ def angular_primitive_core(a: float, c2: float, s2: float, log_term: float) -> f
     return im2 + mid + tail
 
 
-def cos_log_primitive_core(a: float, phi: float) -> float:
-    """Closed-form primitive of -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1).
+def cos_log_primitive_core(a: float, phi: float) -> tuple[float, float]:
+    """Closed-form primitive of -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1),
+    with a bound on its rounding error: (value, err).
 
     Normalised so the value at phi = 0 is zero.  Continuous limit 0 is
-    returned at the a = 1, phi -> 0 corner where the log diverges.
+    returned at the a = 1, phi -> 0 corner where the log diverges; its
+    error there is below |phi|.  Elsewhere ``err`` is DBL_EPSILON times
+    the sum of the magnitudes of the three terms summed and of 2*a*arc:
+    rounding cos(phi) and sin(phi) moves z = a*e^(i*phi) by an ulp, which
+    moves Im Li2(z) by up to |z| times |arg(1 - z)| = arc ulps.  Near the
+    corner the terms are O(phi*|log phi|) and cancel to O(phi^3*|log phi|).
     """
     if a == 1.0 and abs(phi) < 1e-14:
-        return 0.0
+        return 0.0, abs(phi)
     c = math.cos(phi)
     s = math.sin(phi)
     half = math.sin(0.5 * phi)
@@ -192,7 +200,10 @@ def cos_log_primitive_core(a: float, phi: float) -> float:
         tail = 0.0
     else:
         tail = 2.0 * a * (0.5 * math.log(w2) - 1.0) * s
-    return 2.0 * im + (1.0 - a) * (1.0 + a) * (phi + arc) + tail
+    im2 = 2.0 * im
+    mid = (1.0 - a) * (1.0 + a) * (phi + arc)
+    err = DBL_EPSILON * (abs(im2) + abs(mid) + abs(tail) + 2.0 * a * abs(arc))
+    return im2 + mid + tail, err
 
 
 def chord_radius_core(theta: float, a: float) -> float:

@@ -27,9 +27,7 @@ so ``lune_potential_stable`` is ``closed_form.lune_potential`` itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from ._kernels_py import im_li2_path
 from .closed_form import (
@@ -43,11 +41,15 @@ from .closed_form import (
 from .errors import DomainError
 from .geometry import EPS_MIN, OverlapQuery, check_band, check_queries, check_radius
 
+# numpy is imported inside the functions that use it, so that importing
+# lunepot and its scalar calls do not load it
+
 # perfbench/tracing.py wraps this former call of band_core under this name,
 # so it stays importable from here
 from ._kernels_py import angular_primitive_core  # noqa: F401
 
 PI = math.pi
+_tuple_new = tuple.__new__
 
 __all__ = [
     "BandPoint",
@@ -68,13 +70,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BandPoint:
-    """Band coordinate lam in [0, 1] with the disc radius eps, checked as
-    ``geometry.check_radius`` checks it."""
-
+class _BandFields(NamedTuple):
     lam: float
     eps: float
+
+
+class BandPoint(_BandFields):
+    """Band coordinate lam in [0, 1] with the disc radius eps, checked as
+    ``geometry.check_radius`` checks it.
+
+    An immutable NamedTuple, checked on every construction, ``_make`` and
+    ``_replace`` included, as ``geometry.OverlapQuery`` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lam: float, eps: float) -> "BandPoint":
+        p = _tuple_new(cls, (lam, eps))
+        p.__post_init__()
+        return p
+
+    @classmethod
+    def _make(cls, iterable) -> "BandPoint":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def __post_init__(self) -> None:
         if not -1e-12 <= self.lam <= 1.0 + 1e-12:
@@ -82,8 +101,7 @@ class BandPoint:
         check_radius(self.eps)
 
 
-@dataclass(frozen=True)
-class BandCoefficients:
+class BandCoefficients(NamedTuple):
     """Series coefficients of the rescaled core quantity.
 
     Inner branch (a^2 <= 1 + eps^2): value = c_log*eps^2*log(eps^2)
@@ -124,6 +142,8 @@ def band_core(p: BandPoint) -> float:
     and 1e-14 relative on the outer branch, away from its ends, at radii
     from 1e-14 to 1/2.
     """
+    import numpy as np
+
     e = p.eps
     a = np.array([from_band(p)])
     x = a - 1.0
@@ -148,6 +168,8 @@ def _band_angle(lam, sign: float = 1.0):
     # arccos(beta)) at a float or an array of band coordinates: the angle
     # data of both coefficient branches (sign -1 on the outer one) and of
     # band_angle_series
+    import numpy as np
+
     beta = sign * (1.0 - 2.0 * lam)
     sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))
     return beta, sq, np.arccos(np.clip(beta, -1.0, 1.0))
@@ -226,6 +248,8 @@ def _stable_wedge_array(a: np.ndarray, x: np.ndarray, e: float, root) -> np.ndar
     # the unit distance the wedge adds (1-a^2)/8 + log(a)/4, both computed
     # cancellation-free from x.  root, unused, keeps the signature of
     # closed_form._band_wedge_array for _potential_array.
+    import numpy as np
+
     ht = _inner_series(np.clip(0.5 + 0.5 * x / e, 0.0, 1.0), e)
     return np.where(a > 1.0, ht + 0.25 * _log1p_minus_x(x) - 0.125 * x * x, ht)
 
@@ -240,6 +264,8 @@ def lune_potential_series(q: OverlapQuery) -> float:
     sector plus the wedge term from the inner expansion.  Its error falls
     with the radius, about 2e-7 of eps^2*|log eps^2| at eps = 1e-5.  One
     lane of ``lune_potential_series_array``."""
+    import numpy as np
+
     return float(_potential_array(np.array([q.a]), q.eps, _stable_wedge_array)[0][0])
 
 
@@ -267,6 +293,8 @@ def band_profile(eps: float, grid_n: int):
     """
     if grid_n < 3:
         raise DomainError(f"grid size must be >= 3, got {grid_n}")
+    import numpy as np
+
     check_radius(eps)
     lams = np.linspace(0.0, 1.0, grid_n)
     scale = eps * eps * math.log(eps * eps)

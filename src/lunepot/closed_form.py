@@ -39,8 +39,6 @@ import math
 import warnings
 from bisect import bisect_left
 
-import numpy as np
-
 from ._kernels_py import (
     _LI2_EXCESS,
     _LI2_TAYLOR,
@@ -57,6 +55,9 @@ from .geometry import (
     check_queries,
     intersection_angle,
 )
+
+# numpy is imported inside the functions that use it, so that importing
+# lunepot and its scalar calls do not load it
 
 # perfbench/tracing.py wraps this former call of lune_potential under this
 # name, so it stays importable from here
@@ -115,21 +116,23 @@ def cos_log_primitive(a: float, phi: float) -> float:
     normalised to vanish at u = 0, for a in (0, 1] and phi in [0, pi].
 
     Continuous limit 0 at the logarithmically singular corner a = 1,
-    phi -> 0.
+    phi -> 0.  Near that corner the closed form's terms cancel: it warns
+    with AccuracyWarning wherever the bound on their rounding error
+    exceeds 1e-8 of the value.
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"modulus must lie in (0, 1], got {a}")
     if not -1e-12 <= phi <= PI + 1e-12:
         raise DomainError(f"angle {phi} outside [0, pi]")
-    half = math.sin(0.5 * phi)
-    w2 = (1.0 - a) ** 2 + 4.0 * a * half * half
-    if phi != 0.0 and w2 < 1e-30:
+    value, err = cos_log_primitive_core(a, phi)
+    if err > 1e-8 * abs(value):
         warnings.warn(
-            f"evaluating near the singular corner a=1, phi=0 (a={a}, phi={phi})",
+            f"cancellation near the corner a=1, phi=0: rounding error up to {err:.2e} "
+            f"in {value:.6e} (a={a}, phi={phi})",
             AccuracyWarning,
             stacklevel=2,
         )
-    return cos_log_primitive_core(a, phi)
+    return value
 
 
 def radial_log_primitive(a: float, r: float) -> float:
@@ -158,7 +161,7 @@ def radial_log_primitive(a: float, r: float) -> float:
     cos_chi = min(max((1.0 + a * a - r * r) / (2.0 * a), -1.0), 1.0)
     sin_chi = math.sqrt(f_lo * (r + 1.0 - a) * f_hi * (1.0 + a + r)) / (2.0 * a)
     chi = math.atan2(sin_chi, cos_chi)
-    return (arc_term + cos_log_primitive_core(a, chi)) / EIGHT_PI
+    return (arc_term + cos_log_primitive_core(a, chi)[0]) / EIGHT_PI
 
 
 # The wedge term without cancellation.  On the band the primitive argument
@@ -198,6 +201,8 @@ _LOG1P_SERIES_MAX = 0.05
 def _log1p_minus_x(x: np.ndarray) -> np.ndarray:
     """log1p(x) - x without cancellation over an array: the series below
     |x| = 0.05, the direct difference (relative error under 1e-14) above."""
+    import numpy as np
+
     return np.where(np.abs(x) < _LOG1P_SERIES_MAX, x * x * _LOG1P_TAIL(x), np.log1p(x) - x)
 
 
@@ -228,6 +233,8 @@ def _band_wedge_array(a, x, e, root):
     # and psi are its atan2 against -2a*c2 = 2 + q2 - e^2 and
     # 2*Re w = e^2 - q2, with q2 = a^2 - 1.  lune_potential repeats these
     # operations on floats.
+    import numpy as np
+
     e2 = e * e
     q2 = x * (2.0 + x)
     theta = np.arctan2(-root, 2.0 + q2 - e2)
@@ -259,6 +266,8 @@ def _branch_from_wedge(a: np.ndarray, e: float, w: np.ndarray) -> np.ndarray:
     # z = 1 - i*q, q = sqrt(x*(2 + x)), so theta = -atan(q), w = i*q and
     # s2 = q/a: R + pi*m is 8*pi times _band_wedge_array with |w| = q in
     # place of eps and root = 2*a*s2 = 2*q.
+    import numpy as np
+
     x = a - 1.0
     out = np.where(x > 0.0, -w, w)
     near = (x > 0.0) & (x * (2.0 + x) < e * e)
@@ -275,6 +284,8 @@ def wedge_term(q: OverlapQuery) -> float:
     reproduces the region integral.  Vanishes at both band edges 1 +/- eps
     and is continuous across the interior thresholds.
     """
+    import numpy as np
+
     check_band(q.a, q.eps)
     return float(_potential_array(np.array([q.a]), q.eps, _band_wedge_array)[1][0])
 
@@ -289,6 +300,8 @@ def wedge_branch_value(q: OverlapQuery) -> float:
     Used by the band-profile diagnostics only; one lane of
     ``profile_values``.
     """
+    import numpy as np
+
     check_band(q.a, q.eps)
     return float(profile_values(np.array([q.a]), q.eps)[0])
 
@@ -296,6 +309,8 @@ def wedge_branch_value(q: OverlapQuery) -> float:
 def profile_values(a, eps: float) -> np.ndarray:
     """``wedge_branch_value`` over an array of band centre distances at one
     radius, as one array evaluation; unchecked."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     return _branch_from_wedge(a, eps, _potential_array(a, eps, _band_wedge_array)[1])
 
@@ -390,6 +405,8 @@ def _potential_array(a: np.ndarray, e: float, band_wedge):
     # and the wedge.  The band edges x = -/+ e belong to the nested and
     # outside regimes, where the wedge is 0; just inside them it is
     # O(sqrt(distance)).
+    import numpy as np
+
     x = a - 1.0
     e2 = e * e
     out = np.zeros(a.shape)

@@ -22,10 +22,11 @@ import sys
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
 from ._kernels_py import chord_radius_core
 from .errors import DomainError, EpsilonRangeWarning
+
+# numpy is imported inside the functions that use it, so that importing
+# lunepot and its scalar calls do not load it
 
 PI = math.pi
 CLAMP_SLACK = 1e-12
@@ -33,9 +34,6 @@ CLAMP_SLACK = 1e-12
 EPS_MIN = math.sqrt(sys.float_info.min)
 _tuple_new = tuple.__new__
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-# code generated for the package's classes, such as a dataclass __init__,
-# has no file but runs in the globals of a package module
-_PACKAGE_PREFIX = __name__.rpartition(".")[0] + "."
 
 
 class Regime(enum.Enum):
@@ -88,8 +86,9 @@ class OverlapQuery(_QueryFields):
         return cls(math.hypot(x, y), eps)
 
 
-# namedtuple's _replace, inherited by OverlapQuery, calls _make from the
-# collections module; the radius warning looks past it
+# namedtuple's _replace, inherited by OverlapQuery and asymptotic.BandPoint,
+# calls _make from the collections module; every namedtuple shares its code,
+# and the radius warning looks past it
 _REPLACE_CODE = OverlapQuery._replace.__code__
 
 
@@ -103,7 +102,6 @@ def check_radius(eps: float) -> None:
         frame, level = sys._getframe(1), 2
         while frame is not None and (
             frame.f_code.co_filename.startswith(_PACKAGE_DIR)
-            or frame.f_globals.get("__name__", "").startswith(_PACKAGE_PREFIX)
             or frame.f_code is _REPLACE_CODE
         ):
             frame, level = frame.f_back, level + 1
@@ -124,6 +122,8 @@ def check_band(a: float, eps: float) -> None:
 def check_queries(a, eps: float) -> np.ndarray:
     """``OverlapQuery``'s checks over an array of centre distances at one
     radius, the radius first: the distances as a float array."""
+    import numpy as np
+
     check_radius(eps)
     a = np.asarray(a, dtype=float)
     bad = ~(np.isfinite(a) & (a >= 0.0))
@@ -150,6 +150,8 @@ def classify_regimes(a: np.ndarray, eps: float) -> np.ndarray:
     """``classify_regime`` over an array of centre distances at one radius,
     with the boundary conventions documented there: the index in REGIMES of
     each point's regime."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     e = eps
     x = a - 1.0

@@ -139,10 +139,17 @@ def adaptive_quad(
     tol: float = 1e-12,
     budget: int = DEFAULT_BUDGET,
 ) -> QuadResult:
-    """Adaptive Gauss-Kronrod 15/7 quadrature of a scalar callable."""
+    """Adaptive Gauss-Kronrod 15/7 quadrature of a scalar callable over
+    [lo, hi].  With hi < lo the value is minus the integral over [hi, lo],
+    as in QUADPACK's dqag; a non-finite limit raises DomainError."""
     _check_tol(tol)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"integration limits must be finite, got [{lo}, {hi}]")
+    sign = 1.0
+    if hi < lo:
+        lo, hi, sign = hi, lo, -1.0
     value, err, count, converged = _run_adaptive(_unary_panel, f, lo, hi, tol, budget)
-    return _result(value, err, count, converged, tol)
+    return _result(sign * value, err, count, converged, tol)
 
 
 def _arc_wedge(a: float, x: float, e: float, tol: float, budget: int):

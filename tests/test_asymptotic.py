@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -29,6 +31,14 @@ from lunepot.geometry import OverlapQuery, intersection_angle, phi_map
 
 PI = math.pi
 
+# every way to build a band point other than calling the class: each must check
+BAND_REBUILDS = {
+    "_replace": lambda lam: BandPoint(0.5, 0.1)._replace(lam=lam),
+    "_make": lambda lam: BandPoint._make((lam, 0.1)),
+    "pickle": lambda lam: pickle.loads(pickle.dumps(tuple.__new__(BandPoint, (lam, 0.1)))),
+    "copy": lambda lam: copy.copy(tuple.__new__(BandPoint, (lam, 0.1))),
+}
+
 
 class TestBandMaps:
     def test_midpoint(self):
@@ -48,6 +58,14 @@ class TestBandMaps:
         for lam in np.linspace(0, 1, 21):
             p = BandPoint(float(lam), e)
             assert to_band(from_band(p), e).lam == pytest.approx(p.lam, abs=1e-12)
+
+    @pytest.mark.parametrize("how", sorted(BAND_REBUILDS))
+    def test_rebuild_checks(self, how):
+        with pytest.raises(DomainError):
+            BAND_REBUILDS[how](1.5)
+        p = BAND_REBUILDS[how](0.25)
+        assert type(p) is BandPoint and p == (0.25, 0.1)
+        assert p._fields == ("lam", "eps")
 
     def test_domain(self):
         with pytest.raises(DomainError):

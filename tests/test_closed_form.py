@@ -18,7 +18,7 @@ from lunepot.closed_form import (
     wedge_term_reordered,
 )
 from lunepot.dilog import im_dilog_on_path
-from lunepot.errors import DomainError, EpsilonRangeWarning
+from lunepot.errors import AccuracyWarning, DomainError, EpsilonRangeWarning
 from lunepot.geometry import OverlapQuery, intersection_angle, phi_map
 from lunepot.quadrature import adaptive_quad, quad_cos_log, quad_lune, quad_wedge
 
@@ -98,10 +98,25 @@ class TestCosLogPrimitive:
                 )
 
     def test_continuous_corner(self):
-        assert cos_log_primitive(1.0, 1e-15) == 0.0
-        v = cos_log_primitive(1.0, 1e-7)
+        with pytest.warns(AccuracyWarning):
+            assert cos_log_primitive(1.0, 1e-15) == 0.0
+        with pytest.warns(AccuracyWarning):
+            v = cos_log_primitive(1.0, 1e-7)
         assert math.isfinite(v)
         assert v == pytest.approx(quad_cos_log(1.0, 1e-7, 1e-13).value, abs=1e-10)
+
+    # relative errors against mpmath: 2.2e3 at (1, 1e-7), 3.2e-3 at
+    # (1, 1e-5), 9.5e-10 at (0.9999, 1e-4)
+    @pytest.mark.parametrize("a,phi", [(1.0, 1e-7), (1.0, 1e-5)])
+    def test_warns_where_it_cancels(self, a, phi):
+        with pytest.warns(AccuracyWarning):
+            cos_log_primitive(a, phi)
+
+    @pytest.mark.parametrize("a,phi", [(1.0, 0.1), (0.9, 2.0), (0.9999, 1e-4)])
+    def test_silent_where_accurate(self, a, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cos_log_primitive(a, phi)
 
     def test_domain(self):
         with pytest.raises(DomainError):

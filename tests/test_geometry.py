@@ -157,6 +157,8 @@ class TestOverlapQuery:
         lambda: OverlapQuery._make((1.0, 0.7)),
         lambda: OverlapQuery(1.0, 0.3)._replace(eps=0.7),
         lambda: BandPoint(0.5, 0.7),
+        lambda: BandPoint._make((0.5, 0.7)),
+        lambda: BandPoint(0.5, 0.3)._replace(eps=0.7),
         lambda: to_band(1.0, 0.7),
     ],
     ids=[
@@ -170,6 +172,8 @@ class TestOverlapQuery:
         "_make",
         "_replace",
         "BandPoint",
+        "BandPoint._make",
+        "BandPoint._replace",
         "to_band",
     ],
 )

@@ -59,6 +59,26 @@ class TestRulePair:
         assert res.converged
 
 
+class TestAdaptiveLimits:
+    @pytest.mark.parametrize("f", [math.exp, math.sqrt], ids=["exp", "sqrt"])
+    def test_reversed_limits_negate(self, f):
+        # as QUADPACK's dqag: the integral over [hi, lo], negated; sqrt
+        # bisects, so the partition is compared too
+        forward = adaptive_quad(f, 0.0, 1.0, 1e-13)
+        assert adaptive_quad(f, 1.0, 0.0, 1e-13) == forward._replace(value=-forward.value)
+
+    def test_zero_width(self):
+        assert adaptive_quad(math.exp, 0.5, 0.5) == QuadResult(0.0, 0.0, 1, True)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0.0, math.inf), (-math.inf, 0.0), (math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)],
+    )
+    def test_non_finite_limit_raises(self, lo, hi):
+        with pytest.raises(DomainError, match="finite"):
+            adaptive_quad(math.exp, lo, hi)
+
+
 def _panel_nodes(lo, hi):
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
