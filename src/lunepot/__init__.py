@@ -6,7 +6,6 @@ radius, with the small-radius series of the paper and an
 adaptive-quadrature oracle for self-validation.
 """
 
-from ._kernels_py import backend_name
 from .asymptotic import (
     BandCoefficients,
     BandPoint,
@@ -53,6 +52,12 @@ from .quadrature import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the implementation: the package is pure Python."""
+    return "python"
+
 
 __all__ = [
     "AccuracyWarning",

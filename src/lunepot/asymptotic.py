@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._kernels_py import im_li2_path
 from .closed_form import (
     _band_wedge_array,
     _log1p_minus_x,
@@ -38,6 +37,7 @@ from .closed_form import (
     profile_values,
     wedge_branch_value,
 )
+from .dilog import im_li2_path
 from .errors import DomainError
 from .geometry import EPS_MIN, OverlapQuery, check_band, check_queries, check_radius
 
@@ -46,7 +46,7 @@ from .geometry import EPS_MIN, OverlapQuery, check_band, check_queries, check_ra
 
 # perfbench/tracing.py wraps this former call of band_core under this name,
 # so it stays importable from here
-from ._kernels_py import angular_primitive_core  # noqa: F401
+from .closed_form import angular_primitive_core  # noqa: F401
 
 PI = math.pi
 _tuple_new = tuple.__new__

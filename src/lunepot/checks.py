@@ -366,20 +366,34 @@ def check_asymmetry(
 ) -> CheckResult:
     """Asymmetry index of the scaled band profile: slope-1 decay in eps with
     a prefactor near 2e-2."""
+    return asymmetry_fit(eps_list, grid_n, slope_window, prefactor_window)[3]
+
+
+def asymmetry_fit(
+    eps_list: Sequence[float],
+    grid_n: int,
+    slope_window: tuple[float, float] = (0.8, 1.2),
+    prefactor_window: tuple[float, float] = (5e-3, 8e-2),
+) -> tuple[list[float], float, float, CheckResult]:
+    """``check_asymmetry`` with the fit it judges: (the asymmetry index at
+    each radius, the slope and log prefactor of the least-squares line of
+    log eta against log eps, the check's result)."""
     etas = [band_profile(e, grid_n)[2] for e in eps_list]
     slope, logc = np.polyfit(np.log(eps_list), np.log(etas), 1)
-    prefactor = math.exp(float(logc))
+    slope, logc = float(slope), float(logc)
+    prefactor = math.exp(logc)
     ok = (
         slope_window[0] <= slope <= slope_window[1]
         and prefactor_window[0] <= prefactor <= prefactor_window[1]
     )
-    return CheckResult(
+    result = CheckResult(
         "asymmetry-index",
         ok,
-        float(slope),
+        slope,
         slope_window[1],
-        f"slope={float(slope):.3f}, prefactor={prefactor:.3e}",
+        f"slope={slope:.3f}, prefactor={prefactor:.3e}",
     )
+    return etas, slope, logc, result
 
 
 def check_dilog_identities(

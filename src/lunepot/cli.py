@@ -20,8 +20,8 @@ from itertools import chain
 
 import numpy as np
 
+from . import backend_name
 from . import checks as _checks
-from ._kernels_py import backend_name
 from .asymptotic import (
     band_profile,
     lune_potential_series,
@@ -53,7 +53,8 @@ _REGIME_NAMES = np.array([r.value for r in REGIMES])
 @dataclass(frozen=True)
 class SweepSpec:
     """Parameters of one sweep: radius, distance range, grid size, and the
-    evaluation mode (tolerance applies to the oracle mode only)."""
+    evaluation mode (tolerance applies to the oracle mode only, and the
+    distance range to the linspace grid only)."""
 
     eps: float
     a_min: float
@@ -63,8 +64,6 @@ class SweepSpec:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.a_min > self.a_max:
-            raise DomainError(f"a_min {self.a_min} exceeds a_max {self.a_max}")
         if self.n < 2:
             raise DomainError(f"sweep needs n >= 2, got {self.n}")
         if self.mode not in MODES:
@@ -162,6 +161,8 @@ def cmd_sweep(args) -> int:
         # from_band at every point of a uniform band-coordinate grid
         grid = 1.0 - (1.0 - 2.0 * np.linspace(0.0, 1.0, spec.n)) * spec.eps
     else:
+        if spec.a_min > spec.a_max:
+            raise DomainError(f"a_min {spec.a_min} exceeds a_max {spec.a_max}")
         grid = np.linspace(spec.a_min, spec.a_max, spec.n)
     header = "a,eps,regime,value" + (",scaled" if args.scaled else "")
     text = header + "\n" + _sweep_rows(spec, grid, args.scaled, args.lambda_grid)
@@ -192,15 +193,12 @@ def cmd_validate(args) -> int:
         results.append(_checks.check_stability())
     if args.eta:
         eta_eps = (1e-2, 1e-3, 1e-4)
+        etas, slope, logc, result = _checks.asymmetry_fit(eta_eps, 201)
         print("eps,eta")
-        etas = []
-        for e in eta_eps:
-            eta = band_profile(e, 201)[2]
-            etas.append(eta)
+        for e, eta in zip(eta_eps, etas):
             print(f"{_fmt(e)},{_fmt(eta)}")
-        slope, logc = np.polyfit(np.log(eta_eps), np.log(etas), 1)
         print(f"# eta fit: slope={slope:.4f} prefactor={math.exp(logc):.4e}")
-        results.append(_checks.check_asymmetry())
+        results.append(result)
     failed = 0
     for r in results:
         print(r.line())

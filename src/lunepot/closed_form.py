@@ -19,8 +19,8 @@ argument is (eps^2 - 1 - a^2)/(2a) and the interior logarithm is exactly
 2*log(eps), which avoids the cancellation a naive chord-radius composition
 would suffer at small radii.
 
-The wedge term itself calls no kernel dilogarithm: with z = -a*e^(2i*Phi),
-the reflection Li2(z) = pi^2/6 - log z*log(1-z) - Li2(1-z) and the kernel's
+The wedge term itself calls no dilogarithm: with z = -a*e^(2i*Phi), the
+reflection Li2(z) = pi^2/6 - log z*log(1-z) - Li2(1-z) and ``dilog``'s
 Bernoulli table for Li2(1-z) - (1-z) give every piece of
 G(a, Phi) - pi*(1 - a^2) at the size of the result, O(eps^2*log eps),
 instead of as the difference of O(1) values, accurate to about 1e-16 of
@@ -36,17 +36,11 @@ every other user (``wedge_term``, ``wedge_branch_value``,
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from bisect import bisect_left
 
-from ._kernels_py import (
-    _LI2_EXCESS,
-    _LI2_TAYLOR,
-    _PowerSeries,
-    angular_primitive_core,
-    cos_log_primitive_core,
-    li2_parts,
-)
+from .dilog import _LI2_EXCESS, _LI2_TAYLOR, _PowerSeries, _path_cos_sin, im_li2_path, li2_parts
 from .errors import AccuracyWarning, DomainError
 from .geometry import (
     CLAMP_SLACK,
@@ -65,6 +59,7 @@ from .geometry import classify_regime  # noqa: F401
 
 PI = math.pi
 EIGHT_PI = 8.0 * PI
+DBL_EPSILON = sys.float_info.epsilon
 
 __all__ = [
     "angular_primitive",
@@ -90,13 +85,7 @@ def angular_primitive(a: float, phi: float) -> float:
         raise DomainError(f"modulus must be finite and positive, got {a}")
     if not -1e-12 <= phi <= 0.5 * PI + 1e-12:
         raise DomainError(f"angle {phi} outside [0, pi/2]")
-    two_phi = 2.0 * phi
-    c2 = math.cos(two_phi)
-    s2 = math.sin(two_phi)
-    if s2 < 0.0:
-        s2 = 0.0
-    if phi >= 0.5 * PI:
-        c2, s2 = -1.0, 0.0
+    c2, s2 = _path_cos_sin(phi)
     arg = 1.0 + a * a + 2.0 * a * c2
     if arg < 1e-300:
         log_term = 0.0
@@ -109,6 +98,53 @@ def angular_primitive(a: float, phi: float) -> float:
     else:
         log_term = math.log(arg)
     return angular_primitive_core(a, c2, s2, log_term)
+
+
+def angular_primitive_core(a: float, c2: float, s2: float, log_term: float) -> float:
+    """Closed-form primitive of -2*(1 + a*cos(2*phi))*(log(1+a^2+2a*cos 2phi) - 1).
+
+    c2 = cos(2*phi), s2 = sin(2*phi) >= 0, and log_term = log(1+a^2+2a*c2)
+    supplied by the caller (often available in an exactly reduced form).
+    Normalised so the value at phi = 0 is zero.
+    """
+    two_phi = math.atan2(s2, c2)
+    im2 = 2.0 * im_li2_path(a, c2, s2)
+    mid = (1.0 - a) * (1.0 + a) * (two_phi - math.atan2(a * s2, 1.0 + a * c2))
+    if s2 == 0.0:
+        tail = 0.0
+    else:
+        tail = a * (2.0 - log_term) * s2
+    return im2 + mid + tail
+
+
+def cos_log_primitive_core(a: float, phi: float) -> tuple[float, float]:
+    """Closed-form primitive of -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1),
+    with a bound on its rounding error: (value, err).
+
+    Normalised so the value at phi = 0 is zero.  Continuous limit 0 is
+    returned at the a = 1, phi -> 0 corner where the log diverges; its
+    error there is below |phi|.  Elsewhere ``err`` is DBL_EPSILON times
+    the sum of the magnitudes of the three terms summed and of 2*a*arc:
+    rounding cos(phi) and sin(phi) moves z = a*e^(i*phi) by an ulp, which
+    moves Im Li2(z) by up to |z| times |arg(1 - z)| = arc ulps.  Near the
+    corner the terms are O(phi*|log phi|) and cancel to O(phi^3*|log phi|).
+    """
+    if a == 1.0 and abs(phi) < 1e-14:
+        return 0.0, abs(phi)
+    c = math.cos(phi)
+    s = math.sin(phi)
+    half = math.sin(0.5 * phi)
+    w2 = (1.0 - a) * (1.0 - a) + 4.0 * a * half * half   # |1 - a e^{i phi}|^2
+    im = li2_parts(a * c, a * s)[1]
+    arc = math.atan2(a * s, 1.0 - a * c)
+    if w2 < 1e-300:
+        tail = 0.0
+    else:
+        tail = 2.0 * a * (0.5 * math.log(w2) - 1.0) * s
+    im2 = 2.0 * im
+    mid = (1.0 - a) * (1.0 + a) * (phi + arc)
+    err = DBL_EPSILON * (abs(im2) + abs(mid) + abs(tail) + 2.0 * a * abs(arc))
+    return im2 + mid + tail, err
 
 
 def cos_log_primitive(a: float, phi: float) -> float:
@@ -179,7 +215,7 @@ def radial_log_primitive(a: float, r: float) -> float:
 # costs an ulp of the result.  Beyond the unit distance the wedge adds
 # pi*(1 - a^2 + 2*log a) = pi*m.
 #
-# Li2(w) - w = u^2 * _LI2_EXCESS(u) in u = -log z (see _kernels_py).  No
+# Li2(w) - w = u^2 * _LI2_EXCESS(u) in u = -log z (see dilog).  No
 # series below tests for convergence: each is cut, before it is summed, at
 # a length that a bound on its argument makes exact to 1e-17.  For a in
 # [1/2, 2] and theta in [-pi/2, 0], |u| <= hypot(log 2, pi/2) < 1.72, inside

@@ -22,7 +22,6 @@ import sys
 import warnings
 from typing import NamedTuple
 
-from ._kernels_py import chord_radius_core
 from .errors import DomainError, EpsilonRangeWarning
 
 # numpy is imported inside the functions that use it, so that importing
@@ -179,6 +178,16 @@ def _clamped_unit(value: float, what: str) -> float:
             raise DomainError(f"{what} = {value} lies outside [-1, 1]")
         return -1.0
     return value
+
+
+def chord_radius_core(theta: float, a: float) -> float:
+    """Polar radius -a*cos(theta) + sqrt(1 - a^2 sin^2 theta), discriminant
+    clamped at zero (callers validate the domain)."""
+    st = a * math.sin(theta)
+    disc = 1.0 - st * st
+    if disc < 0.0:
+        disc = 0.0
+    return -a * math.cos(theta) + math.sqrt(disc)
 
 
 def chord_radius(theta: float, a: float) -> float:

@@ -16,7 +16,9 @@ s^2 dtheta = (1 - a*cos(beta)) dbeta, so the integrand
 sin^2(beta_V/2) = (eps + x)*(eps - x)/(4a) and x = a - 1.  It is smooth on
 that one interval at every centre distance; beyond the unit distance
 1 - a*cos(beta) changes sign at cos(beta) = 1/a, which subtracts the part
-of the region bounded from below by the unit circle.
+of the region bounded from below by the unit circle.  With
+h = sin^2(beta/2) the integrand is (-x + 2a*h)*(log(x^2 + 4a*h) - 1), one
+sin and one log per node, which ``wedge_panel`` writes out inline.
 
 The error estimate is the summed |high - low| over panels; panels adjacent
 to integrable log endpoints are bisected until the pair agrees.  The
@@ -33,13 +35,12 @@ import warnings
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ._kernels_py import _panel, cos_log_panel, wedge_panel
 from .errors import DomainError, QuadratureWarning
-from .geometry import OverlapQuery, Regime, _band_angle, check_band, classify_regime
+from .geometry import OverlapQuery, _band_angle, check_band
 
 # quadrature's former calls into geometry; perfbench/tracing.py still wraps
 # them under these names, so they stay importable from here
-from .geometry import angular_region, intersection_angle  # noqa: F401
+from .geometry import angular_region, classify_regime, intersection_angle  # noqa: F401
 
 PI = math.pi
 EIGHT_PI = 8.0 * PI
@@ -55,6 +56,112 @@ __all__ = [
     "quad_cos_log",
     "quad_lune_tensor",
 ]
+
+
+# Gauss-Kronrod 15/7 pair on [-1, 1]; positive abscissae, centre last.
+# QUADPACK dqk15's values (Piessens et al., 1983), each rounded once to double.
+_XGK = (
+    0.99145537112081263920685469752633,
+    0.94910791234275852452618968404785,
+    0.86486442335976907278971278864093,
+    0.74153118559939443986386477328079,
+    0.58608723546769113029414484569301,
+    0.40584515137739716690660641207696,
+    0.20778495500789846760068940377324,
+)
+_WGK = (
+    0.02293532201052922496373200805897,
+    0.06309209262997855329070066318920,
+    0.10479001032225018383987632254152,
+    0.14065325971552591874518959051024,
+    0.16900472663926790282658342659855,
+    0.19035057806478540991325640242101,
+    0.20443294007529889241416199923465,
+)
+_WGK_C = 0.20948214108472782801299917489171
+_WG = (
+    0.12948496616886969327061143267908,
+    0.27970539148927666790146777142378,
+    0.38183005050511894495036977548898,
+)
+_WG_C = 0.41795918367346938775510204081633
+
+
+def _wedge_f(beta: float, arg: tuple[float, float, float, float]) -> float:
+    # (1 - a cos beta)(log s^2 - 1) at the arc angle beta, with
+    # h = sin^2(beta/2): 1 - a cos beta = -x + 2a h, s^2 = x^2 + 4a h;
+    # arg = (-x, x^2, 2a, 4a), x = a - 1
+    nx, x2, a2, a4 = arg
+    sh = math.sin(0.5 * beta)
+    h = sh * sh
+    t = x2 + a4 * h
+    if t < 1e-300:
+        return 0.0
+    return (nx + a2 * h) * (math.log(t) - 1.0)
+
+
+def _panel(f, a, lo: float, hi: float):
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    fc = f(c, a)
+    k = _WGK_C * fc
+    g = _WG_C * fc
+    for i in range(7):
+        fp = f(c + h * _XGK[i], a)
+        fm = f(c - h * _XGK[i], a)
+        k += _WGK[i] * (fp + fm)
+        if i & 1:
+            g += _WG[(i - 1) >> 1] * (fp + fm)
+    return k * h, g * h
+
+
+# (abscissa, Kronrod weight, Gauss weight or 0) per pair of nodes +-x
+_GK_TABLE = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+
+
+def wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):
+    """15- and 7-point estimates of the integral of
+    (1 - a cos beta)(log s^2 - 1) over [lo, hi] in the arc angle beta,
+    arg = (-x, x^2, 2a, 4a) with x = a - 1.
+
+    ``_panel(_wedge_f, arg, lo, hi)`` with the integrand written out at
+    each node, in the same operation order: the results are bit-identical,
+    without two Python calls per node.
+    """
+    sin = math.sin
+    log = math.log
+    nx, x2, a2, a4 = arg
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    sh = sin(0.5 * c)
+    hc = sh * sh
+    t = x2 + a4 * hc
+    fc = 0.0 if t < 1e-300 else (nx + a2 * hc) * (log(t) - 1.0)
+    k = _WGK_C * fc
+    g = _WG_C * fc
+    for x, wk, wg in _GK_TABLE:
+        dx = h * x
+        sh = sin(0.5 * (c + dx))
+        hb = sh * sh
+        t = x2 + a4 * hb
+        fp = 0.0 if t < 1e-300 else (nx + a2 * hb) * (log(t) - 1.0)
+        sh = sin(0.5 * (c - dx))
+        hb = sh * sh
+        t = x2 + a4 * hb
+        fm = 0.0 if t < 1e-300 else (nx + a2 * hb) * (log(t) - 1.0)
+        k += wk * (fp + fm)
+        if wg:
+            g += wg * (fp + fm)
+    return k * h, g * h
+
+
+def cos_log_panel(a: float, lo: float, hi: float):
+    """15- and 7-point estimates of the integral of
+    -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1) over [lo, hi]: the negated
+    ``wedge_panel`` at x = a - 1, whose 1 - a*cos u = (1 - a) + 2a*sin^2(u/2)
+    does not cancel near a = 1."""
+    k, g = wedge_panel((1.0 - a, (1.0 - a) * (1.0 - a), 2.0 * a, 4.0 * a), lo, hi)
+    return -k, -g
 
 
 class QuadResult(NamedTuple):
@@ -232,10 +339,10 @@ def quad_lune_tensor(q: OverlapQuery, tol: float = 1e-9) -> QuadResult:
     Slow spot-check of the primary oracle; independent of every reduction
     used elsewhere.
     """
-    regime = classify_regime(q)
     e = q.eps
     a = q.a
-    if regime is Regime.OUTSIDE:
+    if a - 1.0 >= e:
+        # classify_regime's outside regime, read off x = a - 1 as quad_lune does
         return QuadResult(0.0, 0.0, 1, True)
 
     def f_theta(theta: float) -> float:

@@ -137,6 +137,13 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_lambda_grid_ignores_range(self, capsys):
+        # the band grid never reads --a-min or --a-max, so an empty range passes
+        argv = ("sweep", "--eps", "0.1", "--lambda-grid", "--n", "3")
+        code, out, err = run_cli(capsys, *argv, "--a-min", "3")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv)[1]
+
 
 def _per_point(mode: str, a: float, eps: float) -> float:
     q = OverlapQuery(a, eps)

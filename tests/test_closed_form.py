@@ -57,6 +57,9 @@ class TestAngularPrimitive:
         assert angular_primitive(a, PI / 2) == pytest.approx(
             primitive_by_quadrature(a, PI / 2), abs=5e-12
         )
+        # the slack (pi/2, pi/2 + 1e-12] above the domain takes the value at pi/2
+        for phi in (math.nextafter(PI / 2, 2.0), PI / 2 + 1e-14, PI / 2 + 1e-12):
+            assert angular_primitive(a, phi) == angular_primitive(a, PI / 2)
 
     def test_zero_angle(self):
         for a in (0.5, 1.0, 1.3):
@@ -409,8 +412,8 @@ class TestSeriesLengths:
             assert np.max(u) <= self.U_MAX
 
     def test_first_term_beyond_table(self):
-        from lunepot._kernels_py import _LOG_COEF, _log_series_coeffs
         from lunepot.closed_form import _LI2_EXCESS
+        from lunepot.dilog import _LOG_COEF, _log_series_coeffs
 
         assert len(_LI2_EXCESS.coef) == len(_LOG_COEF) - 1 == 46
         k = len(_LOG_COEF)

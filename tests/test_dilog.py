@@ -118,6 +118,9 @@ class TestPath:
         assert im_dilog_on_path(a, PI / 2) == pytest.approx(
             -PI * math.log(a), abs=1e-14
         )
+        # the slack (pi/2, pi/2 + 1e-12] above the domain takes the value at pi/2
+        for phi in (math.nextafter(PI / 2, 2.0), PI / 2 + 1e-14, PI / 2 + 1e-12):
+            assert im_dilog_on_path(a, phi) == im_dilog_on_path(a, PI / 2)
 
     def test_real_axis_start(self):
         assert im_dilog_on_path(1.0, 0.0) == 0.0

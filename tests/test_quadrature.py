@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lunepot import _kernels_py as kern
+from lunepot import quadrature as kern
 from lunepot.errors import DomainError, QuadratureWarning
 from lunepot.geometry import OverlapQuery, Regime, classify_regime, intersection_angle
 from lunepot.quadrature import (

@@ -1,10 +1,11 @@
-"""The package surface: the README's API section, the benchmark's trace
-sites, each of which names attributes of the package, and the modules that
-importing the package loads."""
+"""The package surface: the README's API section and module table, the
+benchmark's trace sites, each of which names attributes of the package, and
+the modules that importing the package loads."""
 
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,6 +22,14 @@ def test_readme_api_section_lists_all():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"`([^`]+)`", section)) == set(lunepot.__all__)
+
+
+def test_readme_layout_lists_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `lunepot\.(\w+)` \|", section, re.MULTILINE))
+    modules = {m.name for m in pkgutil.iter_modules(lunepot.__path__)} - {"__main__"}
+    assert rows == modules
 
 
 def test_every_trace_site_resolves():
@@ -51,6 +60,7 @@ lunepot.lune_potential(q)
 lunepot.quad_lune(q)
 lunepot.quad_wedge(q)
 lunepot.dilog(0.3 + 0.4j)
+lunepot.quad_lune_tensor(q)
 loaded = set(sys.modules) - before
 print(sorted(loaded & {"numpy", "dataclasses"}))
 from lunepot.closed_form import lune_potential_array
