@@ -31,7 +31,7 @@ from .closed_form import (
     wedge_term_reordered,
 )
 from .dilog import dilog, dilog_lower_boundary, im_dilog_on_path
-from .errors import AccuracyWarning, DomainError, EpsilonRangeWarning, QuadratureWarning
+from .errors import AccuracyWarning, DomainError, QuadratureWarning
 from .geometry import (
     OverlapQuery,
     Regime,
@@ -64,7 +64,6 @@ __all__ = [
     "BandCoefficients",
     "BandPoint",
     "DomainError",
-    "EpsilonRangeWarning",
     "OverlapQuery",
     "QuadResult",
     "QuadratureWarning",

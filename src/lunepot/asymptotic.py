@@ -119,8 +119,7 @@ class BandCoefficients(NamedTuple):
 def to_band(a: float, eps: float) -> BandPoint:
     """Map a centre distance inside the band to its band coordinate,
     checking the radius first."""
-    if not EPS_MIN <= eps < 1.0:
-        check_radius(eps)  # raises; above 1/2 only BandPoint warns, so once
+    check_radius(eps)
     check_band(a, eps)
     lam = 0.5 + 0.5 * (a - 1.0) / eps
     return BandPoint(min(max(lam, 0.0), 1.0), eps)

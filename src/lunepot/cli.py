@@ -14,8 +14,6 @@ import math
 import os
 import stat
 import sys
-import warnings
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -29,7 +27,7 @@ from .asymptotic import (
     profile_values,
 )
 from .closed_form import lune_potential, lune_potential_array, lune_potential_profile_array
-from .errors import DomainError, EpsilonRangeWarning
+from .errors import DomainError
 from .geometry import (
     REGIMES,
     OverlapQuery,
@@ -48,28 +46,6 @@ from .asymptotic import from_band, lune_potential_stable, profile_value  # noqa:
 # "asymptotic" runs the paper's series route.
 MODES = ("exact", "stable", "asymptotic", "oracle")
 _REGIME_NAMES = np.array([r.value for r in REGIMES])
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parameters of one sweep: radius, distance range, grid size, and the
-    evaluation mode (tolerance applies to the oracle mode only, and the
-    distance range to the linspace grid only)."""
-
-    eps: float
-    a_min: float
-    a_max: float
-    n: int
-    mode: str = "exact"
-    tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"sweep needs n >= 2, got {self.n}")
-        if self.mode not in MODES:
-            raise DomainError(f"unknown mode {self.mode!r}")
-        if self.mode == "oracle" and not self.tol >= MIN_TOL:
-            raise DomainError(f"oracle tolerance must be >= {MIN_TOL}, got {self.tol}")
 
 
 def _fmt(x: float) -> str:
@@ -117,17 +93,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_values(spec: SweepSpec, grid: np.ndarray, band_profile_scaling: bool):
+def _sweep_values(
+    eps: float, mode: str, tol: float, grid: np.ndarray, band_profile_scaling: bool
+):
     # (values, branch-value profile or None) from array evaluations, the
     # exact path sharing one wedge between them; the oracle goes point by
-    # point, after the same checks and warning
-    eps = spec.eps
-    if spec.mode == "oracle":
+    # point, after the same checks
+    if mode == "oracle":
         points = check_queries(grid, eps).tolist()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EpsilonRangeWarning)
-            values = np.array([quad_lune(OverlapQuery(a, eps), spec.tol).value for a in points])
-    elif spec.mode == "asymptotic":
+        values = np.array([quad_lune(OverlapQuery(a, eps), tol).value for a in points])
+    elif mode == "asymptotic":
         values = lune_potential_series_array(grid, eps)
     elif band_profile_scaling:
         return lune_potential_profile_array(grid, eps)
@@ -137,16 +112,16 @@ def _sweep_values(spec: SweepSpec, grid: np.ndarray, band_profile_scaling: bool)
 
 
 def _sweep_rows(
-    spec: SweepSpec, grid: np.ndarray, scaled: bool, band_profile_scaling: bool
+    eps: float, mode: str, tol: float, grid: np.ndarray, scaled: bool, band_profile_scaling: bool
 ) -> str:
     # every row in one format over a repeated row template; adding 0.0
     # turns -0.0 into 0.0, as _fmt does
-    values, profile = _sweep_values(spec, grid, scaled and band_profile_scaling)
-    template = "%.17g," + _fmt(spec.eps) + ",%s,%.17g"
-    regimes = _REGIME_NAMES[classify_regimes(grid, spec.eps)].tolist()
+    values, profile = _sweep_values(eps, mode, tol, grid, scaled and band_profile_scaling)
+    template = "%.17g," + _fmt(eps) + ",%s,%.17g"
+    regimes = _REGIME_NAMES[classify_regimes(grid, eps)].tolist()
     columns = [(grid + 0.0).tolist(), regimes, (values + 0.0).tolist()]
     if scaled:
-        scale = spec.eps * spec.eps * math.log(spec.eps * spec.eps)
+        scale = eps * eps * math.log(eps * eps)
         column = values if profile is None else profile
         columns.append((column / scale + 0.0).tolist())
         template += ",%.17g"
@@ -154,18 +129,21 @@ def _sweep_rows(
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        eps=args.eps, a_min=args.a_min, a_max=args.a_max, n=args.n, mode=args.mode, tol=args.tol
-    )
+    eps, n = args.eps, args.n
+    if n < 2:
+        raise DomainError(f"sweep needs n >= 2, got {n}")
+    if args.mode == "oracle" and not args.tol >= MIN_TOL:
+        raise DomainError(f"oracle tolerance must be >= {MIN_TOL}, got {args.tol}")
     if args.lambda_grid:
         # from_band at every point of a uniform band-coordinate grid
-        grid = 1.0 - (1.0 - 2.0 * np.linspace(0.0, 1.0, spec.n)) * spec.eps
+        grid = 1.0 - (1.0 - 2.0 * np.linspace(0.0, 1.0, n)) * eps
     else:
-        if spec.a_min > spec.a_max:
-            raise DomainError(f"a_min {spec.a_min} exceeds a_max {spec.a_max}")
-        grid = np.linspace(spec.a_min, spec.a_max, spec.n)
+        if args.a_min > args.a_max:
+            raise DomainError(f"a_min {args.a_min} exceeds a_max {args.a_max}")
+        grid = np.linspace(args.a_min, args.a_max, n)
     header = "a,eps,regime,value" + (",scaled" if args.scaled else "")
-    text = header + "\n" + _sweep_rows(spec, grid, args.scaled, args.lambda_grid)
+    rows = _sweep_rows(eps, args.mode, args.tol, grid, args.scaled, args.lambda_grid)
+    text = header + "\n" + rows
     if args.out in (None, "-"):
         sys.stdout.write(text)
         return 0

@@ -419,8 +419,7 @@ def lune_potential_array(a, eps: float) -> np.ndarray:
     The same regimes and closed form as the scalar function, lane for lane,
     without building a query per point: the values agree with it to
     rounding.  Raises DomainError for a radius outside [EPS_MIN, 1), then
-    for a negative or non-finite distance, and warns once for a radius
-    above 1/2.
+    for a negative or non-finite distance.
     """
     return _potential_array(check_queries(a, eps), eps, _band_wedge_array)[0]
 

@@ -12,8 +12,3 @@ class AccuracyWarning(RuntimeWarning):
 class QuadratureWarning(RuntimeWarning):
     """An adaptive quadrature stopped at its subdivision budget before
     reaching the requested tolerance."""
-
-
-class EpsilonRangeWarning(UserWarning):
-    """The small-disc radius is outside (0, 1/2]; formulas remain valid for
-    radii below 1 but this range is untested."""

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import sys
-import warnings
 from typing import NamedTuple
 
-from .errors import DomainError, EpsilonRangeWarning
+from .errors import DomainError
 
 # numpy is imported inside the functions that use it, so that importing
 # lunepot and its scalar calls do not load it
@@ -32,7 +30,6 @@ CLAMP_SLACK = 1e-12
 # the smallest radius whose square is a normal double: 2^-511
 EPS_MIN = math.sqrt(sys.float_info.min)
 _tuple_new = tuple.__new__
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class Regime(enum.Enum):
@@ -55,9 +52,7 @@ class OverlapQuery(_QueryFields):
     """A single evaluation point: centre distance ``a`` and radius ``eps``.
 
     An immutable NamedTuple, checked on every construction, ``_make`` and
-    ``_replace`` included.  ``eps`` must lie in [EPS_MIN, 1); values above
-    1/2 are accepted with a warning since the closed forms remain valid
-    there but are untested.
+    ``_replace`` included.  ``eps`` must lie in [EPS_MIN, 1).
     """
 
     __slots__ = ()
@@ -75,8 +70,8 @@ class OverlapQuery(_QueryFields):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a >= 0.0):
             raise DomainError(f"centre distance must be finite and >= 0, got {self.a}")
-        if not EPS_MIN <= self.eps <= 0.5:
-            check_radius(self.eps)  # raises or warns; skipped on the common path
+        if not EPS_MIN <= self.eps < 1.0:
+            check_radius(self.eps)  # raises; valid radii skip the call
 
     @classmethod
     def from_point(cls, point, eps: float) -> "OverlapQuery":
@@ -85,30 +80,11 @@ class OverlapQuery(_QueryFields):
         return cls(math.hypot(x, y), eps)
 
 
-# namedtuple's _replace, inherited by OverlapQuery and asymptotic.BandPoint,
-# calls _make from the collections module; every namedtuple shares its code,
-# and the radius warning looks past it
-_REPLACE_CODE = OverlapQuery._replace.__code__
-
-
 def check_radius(eps: float) -> None:
     """Reject a disc radius outside [EPS_MIN, 1), where EPS_MIN ~ 1.49e-154
-    is the smallest radius whose square is a normal double; warn, at the
-    first caller outside this package, for one above 1/2."""
+    is the smallest radius whose square is a normal double."""
     if not EPS_MIN <= eps < 1.0:
         raise DomainError(f"disc radius must lie in [{EPS_MIN:.3g}, 1), got {eps}")
-    if eps > 0.5:
-        frame, level = sys._getframe(1), 2
-        while frame is not None and (
-            frame.f_code.co_filename.startswith(_PACKAGE_DIR)
-            or frame.f_code is _REPLACE_CODE
-        ):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"disc radius {eps} is above 1/2; results are untested there",
-            EpsilonRangeWarning,
-            stacklevel=level,
-        )
 
 
 def check_band(a: float, eps: float) -> None:

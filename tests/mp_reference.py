@@ -1,5 +1,6 @@
 """High-precision reference for the tests: the overlap potential E(a, eps)
-from its closed form in mpmath at 60 significant digits.
+from its closed form in mpmath at 60 significant digits, or at the digits
+a caller asks for (radii far below 1e-14 need more).
 
 The wedge term and the band core are built from ``mpmath.polylog`` at the
 primitive argument -a*e^(2i*Phi), so nothing here shares code or series
@@ -26,9 +27,9 @@ def _primitive(a: mpmath.mpf, s: mpmath.mpf) -> mpmath.mpf:
     )
 
 
-def wedge(a: float, eps: float) -> mpmath.mpf:
+def wedge(a: float, eps: float, digits: int = DIGITS) -> mpmath.mpf:
     """The wedge term at the exact double inputs (0 off the open band)."""
-    with mpmath.workdps(DIGITS):
+    with mpmath.workdps(digits):
         a = mpmath.mpf(a)
         e = mpmath.mpf(eps)
         if a <= 1 - e or a >= 1 + e:
@@ -52,9 +53,9 @@ def core(a: float, eps: float) -> mpmath.mpf:
         return (g - (1 - a * a) * mpmath.pi) / (8 * mpmath.pi)
 
 
-def potential(a: float, eps: float) -> mpmath.mpf:
-    """E(a, eps) at the exact double inputs, to about 60 digits."""
-    with mpmath.workdps(DIGITS):
+def potential(a: float, eps: float, digits: int = DIGITS) -> mpmath.mpf:
+    """E(a, eps) at the exact double inputs, to about ``digits`` digits."""
+    with mpmath.workdps(digits):
         a = mpmath.mpf(a)
         e = mpmath.mpf(eps)
         e2 = e * e
@@ -64,7 +65,7 @@ def potential(a: float, eps: float) -> mpmath.mpf:
         if a >= 1 + e:
             return mpmath.mpf(0)
         phi = mpmath.acos((1 - a * a - e2) / (2 * a * e))
-        return ((mpmath.pi - phi) / mpmath.pi * e2 * (log_e2 - 1) + 8 * wedge(a, eps)) / 4
+        return ((mpmath.pi - phi) / mpmath.pi * e2 * (log_e2 - 1) + 8 * wedge(a, eps, digits)) / 4
 
 
 def scaled_error(value: float, a: float, eps: float) -> float:

@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from lunepot.asymptotic import (
     unit_wedge_series,
 )
 from lunepot.closed_form import lune_potential, wedge_term
-from lunepot.errors import DomainError, EpsilonRangeWarning
+from lunepot.errors import DomainError
 from lunepot.geometry import OverlapQuery, intersection_angle, phi_map
 
 PI = math.pi
@@ -390,12 +389,6 @@ class TestStableArray:
     def test_bad_distance(self):
         with pytest.raises(DomainError, match="centre distance"):
             lune_potential_series_array(np.array([0.5, -0.1]), 1e-8)
-
-    def test_warns_once_above_half(self):
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            lune_potential_series_array(np.linspace(0.0, 2.0, 50), 0.8)
-        assert [w.category for w in rec] == [EpsilonRangeWarning]
 
 
 class TestBandProfile:

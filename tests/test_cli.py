@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from lunepot.asymptotic import lune_potential_series, lune_potential_stable, profile_value
 from lunepot.cli import MODES, _fmt, main
 from lunepot.closed_form import lune_potential
-from lunepot.errors import EpsilonRangeWarning
 from lunepot.geometry import OverlapQuery, classify_regime
 from lunepot.quadrature import quad_lune
 
@@ -137,6 +137,23 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--n", "1"), "sweep needs n >= 2, got 1"),
+            (("--mode", "oracle", "--tol", "1e-20"), "oracle tolerance must be >= "),
+        ],
+        ids=["n", "oracle-tol"],
+    )
+    def test_bad_grid_or_tolerance_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep", "--eps", "0.2", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
+
+    def test_unknown_mode_exit_2(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--eps", "0.2", "--mode", "bogus")
+        assert (code, out) == (2, "")
+
     def test_lambda_grid_ignores_range(self, capsys):
         # the band grid never reads --a-min or --a-max, so an empty range passes
         argv = ("sweep", "--eps", "0.1", "--lambda-grid", "--n", "3")
@@ -237,32 +254,30 @@ class TestSweepColumns:
         assert "disc radius" in err
 
     def test_large_radius_sweep(self, capsys):
-        # eps = 0.8 reaches a < 1/2, where the wedge takes the Taylor series
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            code, out, _ = run_cli(
+        # eps = 0.8 reaches a < 1/2, where the wedge takes the Taylor series;
+        # a radius above 1/2 lies inside the domain and raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
                 capsys, "sweep", "--eps", "0.8", "--a-min", "0", "--a-max", "2", "--n", "41"
             )
-        assert code == 0
-        assert [w.category for w in rec] == [EpsilonRangeWarning]
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert min(float(r[0]) for r in rows if r[2] != "Nested") < 0.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EpsilonRangeWarning)
+            assert (code, err) == (0, "")
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            assert min(float(r[0]) for r in rows if r[2] != "Nested") < 0.5
             for r in rows:
                 ref = quad_lune(OverlapQuery(float(r[0]), 0.8), 1e-12).value
                 assert float(r[3]) == pytest.approx(ref, abs=1e-9)
 
     @pytest.mark.parametrize("mode", ["asymptotic", "oracle"])
     def test_large_radius_sweep_warns_once(self, capsys, mode):
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            code, out, _ = run_cli(
+        # no warning at all: above 1/2 is inside the domain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
                 capsys, "sweep", "--eps", "0.8", "--n", "11", "--mode", mode,
                 "--lambda-grid", "--scaled",
             )
-        assert code == 0
-        assert [w.category for w in rec] == [EpsilonRangeWarning]
+        assert (code, err) == (0, "")
         assert len(out.strip().split("\n")) == 12
 
 
@@ -489,31 +504,49 @@ def test_module_entry_point():
 
 
 def test_module_entry_point_prints_warnings_as_lines():
+    # an oracle call that runs out of its subdivision budget, made to happen
+    # on purpose: the module entry point prints the warning as one line
+    script = textwrap.dedent(
+        """
+        import runpy, sys, warnings
+        import lunepot.cli
+        from lunepot.errors import QuadratureWarning
+
+        quad_lune = lunepot.cli.quad_lune
+
+        def exhausted(q, tol):
+            warnings.warn("subdivision budget exhausted", QuadratureWarning)
+            return quad_lune(q, tol)
+
+        lunepot.cli.quad_lune = exhausted
+        sys.argv = ["lunepot", "eval", "--a", "1.0", "--eps", "0.1", "--mode", "oracle"]
+        runpy.run_module("lunepot", run_name="__main__")
+        """
+    )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-m", "lunepot", "sweep", "--eps", "0.7", "--n", "3"],
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("1,0.10000000000000001,OverlapAtUnit,")
+    assert proc.stderr == "warning: QuadratureWarning: subdivision budget exhausted\n"
+
+
+def test_module_entry_point_diagnostics_warns_above_half(tmp_path):
+    # a radius above 1/2 prints nothing on stderr
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "lunepot", "diagnostics", "--eps", "0.7", "--n", "5",
+            "--out", str(tmp_path / "profile.csv"),
+        ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0
-    assert proc.stderr == (
-        "warning: EpsilonRangeWarning: disc radius 0.7 is above 1/2; results are untested there\n"
-    )
-
-
-def test_module_entry_point_diagnostics_warns_above_half():
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lunepot", "diagnostics", "--eps", "0.7", "--n", "5"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert proc.stderr.splitlines()[0] == (
-        "warning: EpsilonRangeWarning: disc radius 0.7 is above 1/2; results are untested there"
-    )
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("eta = ")
 
 
 def test_no_environment_variable_selects_kernels():

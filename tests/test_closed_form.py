@@ -18,7 +18,7 @@ from lunepot.closed_form import (
     wedge_term_reordered,
 )
 from lunepot.dilog import im_dilog_on_path
-from lunepot.errors import AccuracyWarning, DomainError, EpsilonRangeWarning
+from lunepot.errors import AccuracyWarning, DomainError
 from lunepot.geometry import OverlapQuery, intersection_angle, phi_map
 from lunepot.quadrature import adaptive_quad, quad_cos_log, quad_lune, quad_wedge
 
@@ -312,9 +312,7 @@ class TestArrayEvaluation:
 
         a = min(max(1.0 + t * eps, 1.0 - eps), 1.0 + eps)
         bound = 1e-13 * _scale(eps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EpsilonRangeWarning)
-            q = OverlapQuery(a, eps)
+        q = OverlapQuery(a, eps)
         value = _potential_array(np.array([a]), eps, _band_wedge_array)[0][0]
         assert abs(value - lune_potential(q)) <= bound
         assert wedge_branch_value(q) == profile_values(np.array([a]), eps)[0]
@@ -324,10 +322,8 @@ class TestArrayEvaluation:
         from lunepot.closed_form import lune_potential_array
 
         a = np.concatenate([[0.0, 0.5 * (1.0 - eps), 1.0 - eps, 1.0 + eps, 2.0], _band(eps)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EpsilonRangeWarning)
-            got = lune_potential_array(a, eps)
-            want = np.array([lune_potential(OverlapQuery(x, eps)) for x in a.tolist()])
+        got = lune_potential_array(a, eps)
+        want = np.array([lune_potential(OverlapQuery(x, eps)) for x in a.tolist()])
         assert got.shape == a.shape
         assert np.array_equal(got[:5], want[:5])  # nested and outside rows
         assert np.max(np.abs(got - want)) <= 1e-13 * _scale(eps)
@@ -345,14 +341,6 @@ class TestArrayEvaluation:
         for eps in (1.5, math.nan, 0.0):
             with pytest.raises(DomainError, match="disc radius"):
                 lune_potential_array([-0.5], eps)
-
-    def test_array_warns_once(self):
-        from lunepot.closed_form import lune_potential_array
-
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            lune_potential_array(np.linspace(0.0, 2.0, 50), 0.8)
-        assert [w.category for w in rec] == [EpsilonRangeWarning]
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2, 0.1, 0.5])
     def test_exact_against_mpmath(self, eps):

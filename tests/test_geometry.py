@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lunepot.closed_form import (
     radial_log_primitive,
 )
 from lunepot.dilog import dilog_lower_boundary, im_dilog_on_path
-from lunepot.errors import DomainError, EpsilonRangeWarning
+from lunepot.errors import DomainError
 from lunepot.geometry import (
     EPS_MIN,
     REGIMES,
@@ -78,8 +79,10 @@ class TestOverlapQuery:
         assert OverlapQuery(0.5, EPS_MIN).eps == EPS_MIN
 
     def test_warns_above_half(self):
-        with pytest.warns(EpsilonRangeWarning):
-            OverlapQuery(1.0, 0.7)
+        # the domain is [EPS_MIN, 1): a radius above 1/2 is accepted silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert OverlapQuery(1.0, 0.7).eps == 0.7
 
     def test_from_point(self):
         q = OverlapQuery.from_point((3.0, 4.0), 0.25)
@@ -114,7 +117,9 @@ class TestOverlapQuery:
 
     @pytest.mark.parametrize("how", sorted(REBUILDS))
     def test_rebuild_warns_above_half(self, how):
-        with pytest.warns(EpsilonRangeWarning):
+        # accepted without a warning, as by the class itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             q = REBUILDS[how](1.0, 0.7)
         assert type(q) is OverlapQuery and q == (1.0, 0.7)
 
@@ -147,19 +152,19 @@ class TestOverlapQuery:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: OverlapQuery(1.0, 0.7),
-        lambda: lune_potential_array([1.0], 0.7),
-        lambda: lune_potential_profile_array([1.0], 0.7),
-        lambda: lune_potential_series_array([1.0], 0.7),
-        lambda: band_profile(0.7, 5),
-        lambda: OverlapQuery.from_point((0.6, 0.8), 0.7),
-        lambda: lune_potential_point((0.6, 0.8), 0.7),
-        lambda: OverlapQuery._make((1.0, 0.7)),
-        lambda: OverlapQuery(1.0, 0.3)._replace(eps=0.7),
-        lambda: BandPoint(0.5, 0.7),
-        lambda: BandPoint._make((0.5, 0.7)),
-        lambda: BandPoint(0.5, 0.3)._replace(eps=0.7),
-        lambda: to_band(1.0, 0.7),
+        lambda e: OverlapQuery(1.0, e),
+        lambda e: lune_potential_array([1.0], e),
+        lambda e: lune_potential_profile_array([1.0], e),
+        lambda e: lune_potential_series_array([1.0], e),
+        lambda e: band_profile(e, 5),
+        lambda e: OverlapQuery.from_point((0.6, 0.8), e),
+        lambda e: lune_potential_point((0.6, 0.8), e),
+        lambda e: OverlapQuery._make((1.0, e)),
+        lambda e: OverlapQuery(1.0, 0.3)._replace(eps=e),
+        lambda e: BandPoint(0.5, e),
+        lambda e: BandPoint._make((0.5, e)),
+        lambda e: BandPoint(0.5, 0.3)._replace(eps=e),
+        lambda e: to_band(1.0, e),
     ],
     ids=[
         "OverlapQuery",
@@ -178,10 +183,12 @@ class TestOverlapQuery:
     ],
 )
 def test_radius_warning_names_the_caller(call):
-    with pytest.warns(EpsilonRangeWarning) as record:
-        call()
-    assert len(record) == 1
-    assert record[0].filename == __file__
+    # every entry point that checks a radius accepts the whole domain
+    # [EPS_MIN, 1) without a warning, up to the last double below 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (0.7, math.nextafter(1.0, 0.0)):
+            call(eps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -383,7 +390,8 @@ class TestAngularRegion:
 
     def test_exact_tie_goes_far(self):
         # 1.25^2 == 1 + 0.75^2 exactly in doubles
-        with pytest.warns(EpsilonRangeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             q = OverlapQuery(1.25, 0.75)
         assert len(angular_region(q)) == 1
 
