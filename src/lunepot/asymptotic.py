@@ -194,9 +194,11 @@ def _outer_coeffs(lam: float) -> tuple[float, float, float]:
 
 def band_coefficients(p: BandPoint) -> BandCoefficients:
     """Series coefficients at a band point; the branch is selected by the
-    sign test a^2 <= 1 + eps^2 on the mapped centre distance."""
-    a = from_band(p)
-    if (a - 1.0) * (a + 1.0) <= p.eps * p.eps:
+    sign test a^2 <= 1 + eps^2 on the mapped centre distance, made as
+    ``geometry.classify_regime`` makes it but with the tie on the inner
+    branch."""
+    x = from_band(p) - 1.0
+    if x * (2.0 + x) <= p.eps * p.eps:
         c_log, c_quad = _inner_coeffs(p.lam)
         return BandCoefficients(branch="Inner", c_log=float(c_log), c_quad=float(c_quad))
     if p.lam <= 0.5:
@@ -215,9 +217,9 @@ def band_core_series(p: BandPoint) -> float:
     """Series value of the rescaled core: two terms on the inner branch,
     three on the outer.  Falls back to the exact core within 1e-14 of the
     branch seam, where the outer logarithm degenerates."""
-    a = from_band(p)
+    x = from_band(p) - 1.0
     e = p.eps
-    if (a - 1.0) * (a + 1.0) <= e * e:
+    if x * (2.0 + x) <= e * e:
         return float(_inner_series(p.lam, e))
     if 4.0 * p.lam - 2.0 < 1e-14:
         return band_core(p)

@@ -45,6 +45,7 @@ from .errors import AccuracyWarning, DomainError
 from .geometry import (
     CLAMP_SLACK,
     OverlapQuery,
+    _band_root,
     check_band,
     check_queries,
     intersection_angle,
@@ -179,24 +180,18 @@ def radial_log_primitive(a: float, r: float) -> float:
         raise DomainError(f"modulus must lie in (0, 1], got {a}")
     if not 1.0 - a - CLAMP_SLACK <= r <= 1.0 + a + CLAMP_SLACK:
         raise DomainError(f"radius {r} outside [1-a, 1+a] for a = {a}")
-    # The arccos arguments hit +/-1 at the endpoints r = 1 -/+ a; evaluate
-    # both angles through factored sines so endpoint roundoff is not
-    # square-root amplified.
-    f_lo = a + r - 1.0          # r - (1-a), >= 0 in the domain
-    f_hi = 1.0 + a - r          # (1+a) - r, >= 0 in the domain
-    if f_lo < 0.0:
-        f_lo = 0.0
-    if f_hi < 0.0:
-        f_hi = 0.0
+    # Both angles of the triangle with sides 1, a and r are atan2s of one
+    # factored sine, 2*a*r*sin(ell) = 2*a*sin(chi) = root, formed from
+    # x = a - 1: the arccos arguments hit +/-1 at the endpoints r = 1 -/+ a,
+    # where a plain arccos square-root amplifies roundoff.
+    x = a - 1.0
+    q2 = x * (2.0 + x)
+    root = _band_root(x, r)
     if r <= 0.0:
         arc_term = 0.0
     else:
-        ell = min(max((1.0 - a * a - r * r) / (2.0 * a * r), -1.0), 1.0)
-        sin_ell = math.sqrt(f_lo * (a + r + 1.0) * (1.0 - a + r) * f_hi) / (2.0 * a * r)
-        arc_term = r * r * (math.log(r * r) - 1.0) * math.atan2(sin_ell, ell)
-    cos_chi = min(max((1.0 + a * a - r * r) / (2.0 * a), -1.0), 1.0)
-    sin_chi = math.sqrt(f_lo * (r + 1.0 - a) * f_hi * (1.0 + a + r)) / (2.0 * a)
-    chi = math.atan2(sin_chi, cos_chi)
+        arc_term = r * r * (math.log(r * r) - 1.0) * math.atan2(root, -(q2 + r * r))
+    chi = math.atan2(root, 2.0 + q2 - r * r)
     return (arc_term + cos_log_primitive_core(a, chi)[0]) / EIGHT_PI
 
 

@@ -113,47 +113,22 @@ def classify_regime(q: OverlapQuery) -> Regime:
     Boundary conventions, on x = a - 1 (exact for a in [1/2, 2]) and not
     on the rounded 1 -/+ eps: the nested (x <= -eps) and outside
     (x >= eps) intervals are closed, the unit distance is its own tag, and
-    the tie a^2 == 1 + eps^2 falls to the far overlap branch.
+    the seam a^2 = 1 + eps^2 is tested as x*(2 + x) against eps^2, its tie
+    falling to the far overlap branch.
     """
-    return REGIMES[int(classify_regimes(q.a, q.eps))]
+    return REGIMES[classify_regimes(q.a, q.eps)]
 
 
 REGIMES = tuple(Regime)
 
 
-def classify_regimes(a: np.ndarray, eps: float) -> np.ndarray:
-    """``classify_regime`` over an array of centre distances at one radius,
-    with the boundary conventions documented there: the index in REGIMES of
-    each point's regime."""
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    e = eps
+def classify_regimes(a, eps: float):
+    """``classify_regime`` over a float or a float array of centre
+    distances at one radius, by the same expression: the index in REGIMES
+    of each point's regime."""
     x = a - 1.0
-    index = REGIMES.index
-    return np.select(
-        [x <= -e, x < 0.0, x == 0.0, x >= e, a * a < 1.0 + e * e],
-        [
-            index(Regime.NESTED),
-            index(Regime.OVERLAP_INNER_DISC),
-            index(Regime.OVERLAP_AT_UNIT),
-            index(Regime.OUTSIDE),
-            index(Regime.OVERLAP_OUTER_NEAR),
-        ],
-        index(Regime.OVERLAP_OUTER_FAR),
-    )
-
-
-def _clamped_unit(value: float, what: str) -> float:
-    if value > 1.0:
-        if value > 1.0 + CLAMP_SLACK:
-            raise DomainError(f"{what} = {value} lies outside [-1, 1]")
-        return 1.0
-    if value < -1.0:
-        if value < -1.0 - CLAMP_SLACK:
-            raise DomainError(f"{what} = {value} lies outside [-1, 1]")
-        return -1.0
-    return value
+    # the leading 0 makes numpy add bool arrays as integers, not as "or"
+    return 0 + (x > -eps) + (x >= 0.0) + (x > 0.0) + (x * (2.0 + x) >= eps * eps) + (x >= eps)
 
 
 def chord_radius_core(theta: float, a: float) -> float:
@@ -191,7 +166,8 @@ def intersection_angle(q: OverlapQuery) -> float:
 
     Equals arccos((1 - a^2 - eps^2) / (2*a*eps)); zero at a = 1-eps and
     pi at a = 1+eps.  Evaluated as atan2 of the factored sine against the
-    cosine, which stays accurate right up to the band edges where a plain
+    cosine, both times 2*a*eps, as ``closed_form.lune_potential`` forms
+    them: that stays accurate right up to the band edges, where a plain
     arccos square-root amplifies roundoff.  The cosine's numerator is
     formed from x = a - 1 as -(x*(2 + x) + eps^2): 1 - a^2 would lose the
     digits of x near the unit distance.
@@ -200,20 +176,28 @@ def intersection_angle(q: OverlapQuery) -> float:
     if a == 0.0:
         raise DomainError("intersection angle undefined at zero centre distance")
     check_band(a, e)
-    return _band_angle(a, a - 1.0, e)
+    return _band_angle(a - 1.0, e)
 
 
-def _band_angle(a: float, x: float, e: float) -> float:
-    # intersection_angle from x = a - 1, for a > 0 in the band;
-    # quadrature.quad_lune calls it directly on the open band.  The clamps
-    # are written out: they are on its path.
-    lo = x + e                  # a - (1 - eps)
-    hi = (1.0 - a) + e          # (1 + eps) - a
-    cos_phi = -(x * (2.0 + x) + e * e) / (2.0 * a * e)
-    if not -1.0 <= cos_phi <= 1.0:
-        cos_phi = _clamped_unit(cos_phi, "intersection-angle cosine")
-    prod = (lo if lo > 0.0 else 0.0) * (a + 1.0 + e) * (hi if hi > 0.0 else 0.0) * (1.0 + a - e)
-    return math.atan2(math.sqrt(prod) / (2.0 * a * e), cos_phi)
+def _band_root(x: float, r: float) -> float:
+    # sqrt((2 + x - r)(2 + x + r)(x + r)(r - x)) with x = a - 1: in the
+    # triangle with sides 1, a and r, 2*a*r times the sine of the angle
+    # opposite the unit side.  Each factor is clamped at 0, so that a point
+    # within a rounding slack outside the band gets the edge value 0.
+    f1 = 2.0 + x - r
+    f2 = 2.0 + x + r
+    f3 = x + r
+    f4 = r - x
+    return math.sqrt(
+        (f1 if f1 > 0.0 else 0.0) * (f2 if f2 > 0.0 else 0.0)
+        * (f3 if f3 > 0.0 else 0.0) * (f4 if f4 > 0.0 else 0.0)
+    )
+
+
+def _band_angle(x: float, e: float) -> float:
+    # intersection_angle from x = a - 1, unchecked; quadrature.quad_lune
+    # calls it directly on the open band
+    return math.atan2(_band_root(x, e), -(x * (2.0 + x) + e * e))
 
 
 def big_l(theta: float, a: float) -> float:
@@ -226,8 +210,10 @@ def big_l(theta: float, a: float) -> float:
 
 def phi_map(theta: float, a: float) -> float:
     """Half-angle map Phi(theta) = arccos(L(theta)) / 2, in [0, pi/2]."""
-    val = _clamped_unit(big_l(theta, a), "half-angle cosine")
-    return 0.5 * math.acos(val)
+    val = big_l(theta, a)
+    if abs(val) > 1.0 + CLAMP_SLACK:
+        raise DomainError(f"half-angle cosine = {val} lies outside [-1, 1]")
+    return 0.5 * math.acos(min(max(val, -1.0), 1.0))
 
 
 def angular_region(q: OverlapQuery) -> list[tuple[float, float]]:
@@ -236,15 +222,17 @@ def angular_region(q: OverlapQuery) -> list[tuple[float, float]]:
 
     One interval [pi - alpha, phi] at a = 1; two intervals
     [2pi - alpha, 2pi] and [pi - alpha, phi] while a^2 < 1 + eps^2; a
-    single interval [phi + pi, 2pi] once a^2 >= 1 + eps^2.
+    single interval [phi + pi, 2pi] once a^2 >= 1 + eps^2, tested as
+    ``classify_regime`` tests it.
     """
     a, e = q.a, q.eps
     if a < 1.0 or a > 1.0 + e:
         raise DomainError(f"a = {a} outside [1, 1+eps]")
     phi = intersection_angle(q)
-    alpha = math.asin(_clamped_unit(1.0 / a, "turning-angle sine"))
-    if a == 1.0:
+    alpha = math.asin(1.0 / a)
+    x = a - 1.0
+    if x == 0.0:
         return [(PI - alpha, phi)]
-    if a * a < 1.0 + e * e:
+    if x * (2.0 + x) < e * e:
         return [(2.0 * PI - alpha, 2.0 * PI), (PI - alpha, phi)]
     return [(phi + PI, 2.0 * PI)]

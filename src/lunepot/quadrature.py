@@ -292,7 +292,7 @@ def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET)
     if x >= e:
         return QuadResult(0.0, 0.0, 1)
     # inside the open band, so no band check is needed
-    phi = _band_angle(a, x, e)
+    phi = _band_angle(x, e)
     sector = (PI - phi) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
     value, err, count, converged = _arc_wedge(a, x, e, 0.5 * tol * EIGHT_PI, budget)
     value = sector + 2.0 * (value / EIGHT_PI)

@@ -142,6 +142,18 @@ class TestRadialLogPrimitive:
             -0.0714829584562, abs=1e-10
         )
 
+    @pytest.mark.parametrize("a", [0.5, 0.75, 1.0])
+    def test_slack_takes_the_end_value(self, a):
+        # within CLAMP_SLACK outside [1-a, 1+a] both angles clamp to their
+        # end values; at a = 1, r = -1e-13 two factors of the root are
+        # negative, and each is clamped, not their product
+        for d in (1e-13, 9e-13):
+            assert radial_log_primitive(a, 1.0 - a - d) == radial_log_primitive(a, 1.0 - a)
+            # beyond the upper end only the factor r^2 (log r^2 - 1) moves
+            assert radial_log_primitive(a, 1.0 + a + d) == pytest.approx(
+                radial_log_primitive(a, 1.0 + a), rel=0.0, abs=1e-12
+            )
+
     def test_domain(self):
         with pytest.raises(DomainError):
             radial_log_primitive(0.5, 0.1)

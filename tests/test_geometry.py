@@ -1,8 +1,10 @@
 import copy
 import math
 import pickle
+import random
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,10 +237,12 @@ class TestClassify:
         e = 0.25
         assert classify_regime(OverlapQuery(1.0 - e, e)) is Regime.NESTED
         assert classify_regime(OverlapQuery(1.0 + e, e)) is Regime.OUTSIDE
-        # tie a^2 == 1 + eps^2 goes to the far branch
+        # the seam a^2 = 1 + eps^2, compared exactly
         a = math.sqrt(1.0 + e * e)
-        if a * a == 1.0 + e * e:
-            assert classify_regime(OverlapQuery(a, e)) is Regime.OVERLAP_OUTER_FAR
+        far = Fraction(a) ** 2 >= 1 + Fraction(e) ** 2
+        assert (classify_regime(OverlapQuery(a, e)) is Regime.OVERLAP_OUTER_FAR) == far
+        # an exact tie goes to the far branch: 1.25^2 == 1 + 0.75^2
+        assert classify_regime(OverlapQuery(1.25, 0.75)) is Regime.OVERLAP_OUTER_FAR
 
     @given(
         a=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
@@ -249,12 +253,13 @@ class TestClassify:
         # the band edges on the exact x = a - 1, not on the rounded 1 -/+ eps
         tag = classify_regime(OverlapQuery(a, eps))
         x = a - 1
+        near = Fraction(a) ** 2 < 1 + Fraction(eps) ** 2
         member = {
             Regime.NESTED: x <= -eps,
             Regime.OVERLAP_INNER_DISC: -eps < x < 0,
             Regime.OVERLAP_AT_UNIT: x == 0,
-            Regime.OVERLAP_OUTER_NEAR: 0 < x < eps and a * a < 1 + eps * eps,
-            Regime.OVERLAP_OUTER_FAR: a * a >= 1 + eps * eps and x < eps,
+            Regime.OVERLAP_OUTER_NEAR: 0 < x < eps and near,
+            Regime.OVERLAP_OUTER_FAR: not near and x < eps,
             Regime.OUTSIDE: x >= eps,
         }
         assert member[tag]
@@ -275,6 +280,25 @@ class TestClassify:
         # the rounded 1 -/+ eps can fall on either side of the true edge
         assert classify_regime(OverlapQuery(a, eps)) is tag
         assert REGIMES[classify_regimes(np.array([a]), eps)[0]] is tag
+
+    def test_seam_is_exact(self):
+        # the 40 doubles on each side of sqrt(1 + eps^2), at 61 radii: the
+        # regime, its array form and the angular region all put a point on
+        # the near side exactly when a^2 < 1 + eps^2
+        near_side = (Regime.OVERLAP_INNER_DISC, Regime.OVERLAP_AT_UNIT, Regime.OVERLAP_OUTER_NEAR)
+        for eps in np.geomspace(1e-14, 0.999, 61).tolist():
+            a = [math.sqrt(1.0 + eps * eps)]
+            for _ in range(40):
+                a = [math.nextafter(a[0], 0.0), *a, math.nextafter(a[-1], 2.0)]
+            tags = classify_regimes(np.array(a), eps).tolist()
+            for ai, index in zip(a, tags):
+                near = Fraction(ai) ** 2 < 1 + Fraction(eps) ** 2
+                q = OverlapQuery(ai, eps)
+                tag = classify_regime(q)
+                assert REGIMES[index] is tag
+                assert (tag in near_side) == near
+                if ai > 1.0:
+                    assert (len(angular_region(q)) == 2) == near
 
 
 class TestChordRadius:
@@ -333,6 +357,25 @@ class TestIntersectionAngle:
     def test_out_of_band(self):
         with pytest.raises(DomainError):
             intersection_angle(OverlapQuery(0.5, 0.2))
+
+    @pytest.mark.parametrize("e", [1e-10, 1e-6, 0.1])
+    def test_band_slack(self, e):
+        # check_band accepts a point a rounding slack outside either edge,
+        # and the angle there is the edge value
+        assert intersection_angle(OverlapQuery(1.0 - e - 5e-13, e)) == 0.0
+        assert intersection_angle(OverlapQuery(1.0 + e + 5e-13, e)) == PI
+
+    def test_is_lune_potentials_angle(self):
+        # bit for bit the sector angle that closed_form.lune_potential forms
+        rng = random.Random(7)
+        for _ in range(10_000):
+            e = 10.0 ** rng.uniform(-14.0, -1e-4)
+            a = 1.0 + rng.uniform(-e, e)
+            x = a - 1.0
+            if not -e < x < e:
+                continue
+            root = math.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
+            assert intersection_angle(OverlapQuery(a, e)) == math.atan2(root, -(x * (2.0 + x) + e * e))
 
     def test_chord_at_angle_is_eps(self):
         # s(phi) equals the small radius while a^2 <= 1 + eps^2

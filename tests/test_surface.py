@@ -57,6 +57,7 @@ before = set(sys.modules)
 import lunepot
 q = lunepot.OverlapQuery(0.95, 0.1)
 lunepot.lune_potential(q)
+lunepot.classify_regime(q)
 lunepot.quad_lune(q)
 lunepot.quad_wedge(q)
 lunepot.dilog(0.3 + 0.4j)
