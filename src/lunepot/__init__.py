@@ -6,20 +6,6 @@ radius, with the small-radius series of the paper and an
 adaptive-quadrature oracle for self-validation.
 """
 
-from .asymptotic import (
-    BandCoefficients,
-    BandPoint,
-    band_angle_series,
-    band_coefficients,
-    band_core,
-    band_core_series,
-    band_profile,
-    from_band,
-    lune_potential_stable,
-    profile_value,
-    to_band,
-    unit_wedge_series,
-)
 from .closed_form import (
     angular_primitive,
     cos_log_primitive,
@@ -42,14 +28,49 @@ from .geometry import (
     intersection_angle,
     phi_map,
 )
-from .quadrature import (
-    QuadResult,
-    adaptive_quad,
-    quad_cos_log,
-    quad_lune,
-    quad_lune_tensor,
-    quad_wedge,
-)
+
+# asymptotic and quadrature load on the first access to one of their names:
+# the scalar closed form needs neither
+_LAZY = {
+    "asymptotic": (
+        "BandCoefficients",
+        "BandPoint",
+        "band_angle_series",
+        "band_coefficients",
+        "band_core",
+        "band_core_series",
+        "band_profile",
+        "from_band",
+        "lune_potential_stable",
+        "profile_value",
+        "to_band",
+        "unit_wedge_series",
+    ),
+    "quadrature": (
+        "QuadResult",
+        "adaptive_quad",
+        "quad_cos_log",
+        "quad_lune",
+        "quad_lune_tensor",
+        "quad_wedge",
+    ),
+}
+
+
+def __getattr__(name: str):
+    # The first access to any name of _LAZY imports both modules, binds all
+    # their names here and deletes this hook: CPython does not specialise
+    # attribute loads on a module that defines __getattr__.
+    if not any(name in names for names in _LAZY.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import asymptotic, quadrature
+
+    namespace = globals()
+    for module, names in ((asymptotic, _LAZY["asymptotic"]), (quadrature, _LAZY["quadrature"])):
+        namespace.update((n, getattr(module, n)) for n in names)
+    del namespace["__getattr__"]
+    return namespace[name]
+
 
 __version__ = "0.1.0"
 

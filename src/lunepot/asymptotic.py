@@ -166,12 +166,14 @@ def _band_angle(lam, sign: float = 1.0):
     # (beta, sq, omega) = (sign*(1 - 2*lam), sqrt(lam*(1 - lam)),
     # arccos(beta)) at a float or an array of band coordinates: the angle
     # data of both coefficient branches (sign -1 on the outer one) and of
-    # band_angle_series
+    # band_angle_series.  A float takes math's functions, an array numpy's.
+    beta = sign * (1.0 - 2.0 * lam)
+    sq2 = lam * (1.0 - lam)
+    if type(beta) is float:
+        return beta, math.sqrt(max(sq2, 0.0)), math.acos(min(max(beta, -1.0), 1.0))
     import numpy as np
 
-    beta = sign * (1.0 - 2.0 * lam)
-    sq = np.sqrt(np.maximum(lam * (1.0 - lam), 0.0))
-    return beta, sq, np.arccos(np.clip(beta, -1.0, 1.0))
+    return beta, np.sqrt(np.maximum(sq2, 0.0)), np.arccos(np.clip(beta, -1.0, 1.0))
 
 
 def _inner_coeffs(lam):

@@ -16,10 +16,7 @@ import stat
 import sys
 from itertools import chain
 
-import numpy as np
-
 from . import backend_name
-from . import checks as _checks
 from .asymptotic import (
     band_profile,
     lune_potential_series,
@@ -42,10 +39,12 @@ from .quadrature import MIN_TOL, quad_lune
 # them under these names, so they stay importable from here
 from .asymptotic import from_band, lune_potential_stable, profile_value  # noqa: F401
 
+# numpy and checks are imported inside sweep and validate (diagnostics gets
+# numpy through band_profile), so that `lunepot eval` does not load numpy
+
 # "stable" is an alias of "exact": the closed form is the stable evaluator.
 # "asymptotic" runs the paper's series route.
 MODES = ("exact", "stable", "asymptotic", "oracle")
-_REGIME_NAMES = np.array([r.value for r in REGIMES])
 
 
 def _fmt(x: float) -> str:
@@ -99,6 +98,8 @@ def _sweep_values(
     # (values, branch-value profile or None) from array evaluations, the
     # exact path sharing one wedge between them; the oracle goes point by
     # point, after the same checks
+    import numpy as np
+
     if mode == "oracle":
         points = check_queries(grid, eps).tolist()
         values = np.array([quad_lune(OverlapQuery(a, eps), tol).value for a in points])
@@ -116,9 +117,11 @@ def _sweep_rows(
 ) -> str:
     # every row in one format over a repeated row template; adding 0.0
     # turns -0.0 into 0.0, as _fmt does
+    import numpy as np
+
     values, profile = _sweep_values(eps, mode, tol, grid, scaled and band_profile_scaling)
     template = "%.17g," + _fmt(eps) + ",%s,%.17g"
-    regimes = _REGIME_NAMES[classify_regimes(grid, eps)].tolist()
+    regimes = np.array([r.value for r in REGIMES])[classify_regimes(grid, eps)].tolist()
     columns = [(grid + 0.0).tolist(), regimes, (values + 0.0).tolist()]
     if scaled:
         scale = eps * eps * math.log(eps * eps)
@@ -129,6 +132,8 @@ def _sweep_rows(
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     eps, n = args.eps, args.n
     if n < 2:
         raise DomainError(f"sweep needs n >= 2, got {n}")
@@ -151,27 +156,29 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import checks
+
     if args.grid_n < 2:
         raise DomainError(f"validate needs --grid-n >= 2, got {args.grid_n}")
     eps_list = tuple(args.eps) if args.eps else (0.5, 0.1, 0.01)
     for e in eps_list:
         check_radius(e)
     results = [
-        _checks.check_oracle_agreement(eps_list, args.grid_n, args.tol),
-        _checks.check_branch_continuity(eps_list),
-        _checks.check_representation_equivalence(eps_list),
-        _checks.check_global_bound(eps_list),
-        _checks.check_golden_tables(),
-        _checks.check_dilog_identities(),
+        checks.check_oracle_agreement(eps_list, args.grid_n, args.tol),
+        checks.check_branch_continuity(eps_list),
+        checks.check_representation_equivalence(eps_list),
+        checks.check_global_bound(eps_list),
+        checks.check_golden_tables(),
+        checks.check_dilog_identities(),
     ]
     if args.asymptotic:
-        results.append(_checks.check_series_accuracy())
-        results.append(_checks.check_unit_cubic_slope())
-        results.append(_checks.check_angle_series())
-        results.append(_checks.check_stability())
+        results.append(checks.check_series_accuracy())
+        results.append(checks.check_unit_cubic_slope())
+        results.append(checks.check_angle_series())
+        results.append(checks.check_stability())
     if args.eta:
         eta_eps = (1e-2, 1e-3, 1e-4)
-        etas, slope, logc, result = _checks.asymmetry_fit(eta_eps, 201)
+        etas, slope, logc, result = checks.asymmetry_fit(eta_eps, 201)
         print("eps,eta")
         for e, eta in zip(eta_eps, etas):
             print(f"{_fmt(e)},{_fmt(eta)}")

@@ -250,7 +250,8 @@ def _im_li2_excess_taylor(z, log_z, log_w):
 
 
 # lune_potential indexes the straight-line evaluators itself, without the
-# type test and call of _PowerSeries.__call__.
+# type test and call of _PowerSeries.__call__; each is the series' own list,
+# so a cut compiled on its first call is compiled for both.
 _LI2_BOUNDS, _LI2_HORNER = _LI2_EXCESS._bounds, _LI2_EXCESS._horner
 _SIN_BOUNDS, _SIN_HORNER = _SIN_TAIL._bounds, _SIN_TAIL._horner
 _LOG1P_BOUNDS, _LOG1P_HORNER = _LOG1P_TAIL._bounds, _LOG1P_TAIL._horner

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -30,24 +29,34 @@ PI2_6 = PI * PI / 6.0
 __all__ = ["dilog", "dilog_lower_boundary", "im_dilog_on_path"]
 
 
-def _log_series_coeffs(n: int = 46) -> tuple[float, ...]:
-    # B_k / (k+1)! computed exactly, then rounded once to double.
-    bern = [Fraction(0)] * (n + 1)
-    bern[0] = Fraction(1)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * bern[k]
-        bern[m] = -acc / (m + 1)
-    fact = Fraction(1)
-    out = []
-    for k in range(n + 1):
-        fact *= k + 1
-        out.append(float(bern[k] / fact))
-    return tuple(out)
-
-
-_LOG_COEF = _log_series_coeffs()
+# B_k / (k+1)! for k = 0..46, each rounded once to double from the exact
+# rational (the tests recompute it in fractions); the odd B_k past B_1 are 0
+_LOG_COEF = (
+    1.0, -0.25,
+    0.027777777777777776, 0.0,
+    -0.0002777777777777778, 0.0,
+    4.72411186696901e-06, 0.0,
+    -9.185773074661964e-08, 0.0,
+    1.8978869988971e-09, 0.0,
+    -4.0647616451442256e-11, 0.0,
+    8.921691020456452e-13, 0.0,
+    -1.9939295860721074e-14, 0.0,
+    4.518980029619918e-16, 0.0,
+    -1.0356517612181247e-17, 0.0,
+    2.395218621026187e-19, 0.0,
+    -5.581785874325009e-21, 0.0,
+    1.3091507554183213e-22, 0.0,
+    -3.0874198024267403e-24, 0.0,
+    7.315975652702203e-26, 0.0,
+    -1.740845657234001e-27, 0.0,
+    4.1576356446139e-29, 0.0,
+    -9.962148488284622e-31, 0.0,
+    2.3940344248961652e-32, 0.0,
+    -5.76834735536739e-34, 0.0,
+    1.393179479647008e-35, 0.0,
+    -3.3721219654850894e-37, 0.0,
+    8.178208777562102e-39,
+)
 
 
 class _PowerSeries:
@@ -56,14 +65,24 @@ class _PowerSeries:
     ``cuts`` lists (bound, length) pairs: for |t| <= bound the first
     ``length`` terms leave a tail sum |coef[k]| * bound^k below 1e-17 of
     |coef[0]| (checked in the tests).  Beyond the last bound the whole
-    table is summed.  ``_horner[bisect_left(_bounds, |t|)]`` sums a cut.
+    table is summed.  ``_horner[bisect_left(_bounds, |t|)]`` sums a cut:
+    each entry compiles its cut on its first call and puts the compiled
+    sum in its own place, so import compiles none.
     """
 
     def __init__(self, coef, cuts):
         self.coef = coef
         self.cuts = cuts
         self._bounds = tuple(bound for bound, _ in cuts)
-        self._horner = tuple(map(_compile_horner, [coef[:n] for _, n in cuts] + [coef]))
+        lengths = [n for _, n in cuts] + [len(coef)]
+        self._horner = [self._first_call(i, coef[:n]) for i, n in enumerate(lengths)]
+
+    def _first_call(self, i, coef):
+        def compile_and_call(t):
+            horner = self._horner[i] = _compile_horner(coef)
+            return horner(t)
+
+        return compile_and_call
 
     def __call__(self, t):
         t_max = abs(t)

@@ -223,14 +223,15 @@ def angular_region(q: OverlapQuery) -> list[tuple[float, float]]:
     One interval [pi - alpha, phi] at a = 1; two intervals
     [2pi - alpha, 2pi] and [pi - alpha, phi] while a^2 < 1 + eps^2; a
     single interval [phi + pi, 2pi] once a^2 >= 1 + eps^2, tested as
-    ``classify_regime`` tests it.
+    ``classify_regime`` tests it.  The domain is decided on x = a - 1, the
+    upper edge within CLAMP_SLACK as ``check_band`` allows it.
     """
     a, e = q.a, q.eps
-    if a < 1.0 or a > 1.0 + e:
-        raise DomainError(f"a = {a} outside [1, 1+eps]")
-    phi = intersection_angle(q)
-    alpha = math.asin(1.0 / a)
     x = a - 1.0
+    if not 0.0 <= x <= e + CLAMP_SLACK:
+        raise DomainError(f"a = {a} outside [1, 1+eps]")
+    phi = _band_angle(x, e)
+    alpha = math.asin(1.0 / a)
     if x == 0.0:
         return [(PI - alpha, phi)]
     if x * (2.0 + x) < e * e:

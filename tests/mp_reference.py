@@ -4,10 +4,14 @@ a caller asks for (radii far below 1e-14 need more).
 
 The wedge term and the band core are built from ``mpmath.polylog`` at the
 primitive argument -a*e^(2i*Phi), so nothing here shares code or series
-with the package.
+with the package.  ``log_series_coeffs`` recomputes, in exact rationals,
+the table that ``lunepot.dilog`` commits as literal doubles.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import mpmath
 
@@ -74,3 +78,21 @@ def scaled_error(value: float, a: float, eps: float) -> float:
     with mpmath.workdps(DIGITS):
         e2 = mpmath.mpf(eps) ** 2
         return float(abs(mpmath.mpf(value) - ref) / (e2 * abs(mpmath.log(e2))))
+
+
+def log_series_coeffs(n: int = 46) -> tuple[float, ...]:
+    """B_k / (k+1)! for k = 0..n, each computed exactly and rounded once to
+    double: the coefficients of Li2(z) in u = -log(1 - z)."""
+    bern = [Fraction(0)] * (n + 1)
+    bern[0] = Fraction(1)
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m + 1, k) * bern[k]
+        bern[m] = -acc / (m + 1)
+    fact = Fraction(1)
+    out = []
+    for k in range(n + 1):
+        fact *= k + 1
+        out.append(float(bern[k] / fact))
+    return tuple(out)

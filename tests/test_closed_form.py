@@ -413,12 +413,13 @@ class TestSeriesLengths:
 
     def test_first_term_beyond_table(self):
         from lunepot.closed_form import _LI2_EXCESS
-        from lunepot.dilog import _LOG_COEF, _log_series_coeffs
+        from mp_reference import log_series_coeffs
+        from lunepot.dilog import _LOG_COEF
 
         assert len(_LI2_EXCESS.coef) == len(_LOG_COEF) - 1 == 46
         k = len(_LOG_COEF)
         # coefficient of u^(k+1) in Li2(w) - w: (B_k - (-1)^k)/(k+1)!
-        beyond = _log_series_coeffs(k)[k] - (-1) ** k / math.factorial(k + 1)
+        beyond = log_series_coeffs(k)[k] - (-1) ** k / math.factorial(k + 1)
         assert abs(beyond) * self.U_MAX ** (k + 1) < 1e-17
         assert _LI2_EXCESS.cuts[-1][0] >= self.U_MAX
 

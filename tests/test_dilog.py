@@ -187,3 +187,14 @@ def _seam_points(seam):
 def test_accuracy_against_mpmath_at_seams(seam):
     mp = pytest.importorskip("mpmath")
     _assert_matches_mpmath(mp, _seam_points(seam))
+
+
+def test_log_coef_is_the_exact_table():
+    # the committed literal against B_k / (k+1)! in exact rationals, bit for
+    # bit; hex tells -0.0 from 0.0
+    pytest.importorskip("mpmath")
+    from mp_reference import log_series_coeffs
+
+    from lunepot.dilog import _LOG_COEF
+
+    assert [c.hex() for c in _LOG_COEF] == [c.hex() for c in log_series_coeffs()]

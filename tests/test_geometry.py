@@ -28,6 +28,7 @@ from lunepot.geometry import (
     Regime,
     angular_region,
     big_l,
+    check_band,
     chord_radius,
     classify_regime,
     classify_regimes,
@@ -442,3 +443,15 @@ class TestAngularRegion:
     def test_domain(self, a):
         with pytest.raises(DomainError):
             angular_region(OverlapQuery(a, 0.1))
+
+    @pytest.mark.parametrize("a, eps", [(1.0 + 6e-13, 1e-13), (1.1, 0.1)])
+    def test_upper_edge_slack(self, a, eps):
+        # x = a - 1 beyond eps by less than CLAMP_SLACK, as check_band
+        # allows it: the far branch's interval at the edge, [2pi, 2pi]
+        assert a - 1.0 > eps
+        check_band(a, eps)
+        assert angular_region(OverlapQuery(a, eps)) == [(2 * PI, 2 * PI)]
+
+    def test_beyond_slack(self):
+        with pytest.raises(DomainError):
+            angular_region(OverlapQuery(1.0 + 2e-12, 1e-13))
