@@ -34,7 +34,7 @@ from .closed_form import (
     _log1p_minus_x,
     _potential_array,
     lune_potential,
-    profile_values,
+    lune_potential_profile_array,
     wedge_branch_value,
 )
 from .dilog import im_li2_path
@@ -65,7 +65,6 @@ __all__ = [
     "lune_potential_series_array",
     "lune_potential_stable",
     "profile_value",
-    "profile_values",
     "band_profile",
 ]
 
@@ -203,8 +202,6 @@ def band_coefficients(p: BandPoint) -> BandCoefficients:
     if x * (2.0 + x) <= p.eps * p.eps:
         c_log, c_quad = _inner_coeffs(p.lam)
         return BandCoefficients(branch="Inner", c_log=float(c_log), c_quad=float(c_quad))
-    if p.lam <= 0.5:
-        raise DomainError(f"outer branch requires lam > 1/2, got {p.lam}")
     c0, c1, c2 = _outer_coeffs(p.lam)
     return BandCoefficients(branch="Outer", c0=c0, c1=c1, c2=c2)
 
@@ -267,9 +264,7 @@ def lune_potential_series(q: OverlapQuery) -> float:
     sector plus the wedge term from the inner expansion.  Its error falls
     with the radius, about 2e-7 of eps^2*|log eps^2| at eps = 1e-5.  One
     lane of ``lune_potential_series_array``."""
-    import numpy as np
-
-    return float(_potential_array(np.array([q.a]), q.eps, _stable_wedge_array)[0][0])
+    return float(lune_potential_series_array([q.a], q.eps)[0])
 
 
 def lune_potential_series_array(a, eps: float) -> np.ndarray:
@@ -298,9 +293,11 @@ def band_profile(eps: float, grid_n: int):
         raise DomainError(f"grid size must be >= 3, got {grid_n}")
     import numpy as np
 
+    # checked before the grid is formed: an infinite radius would make
+    # nan from 0*inf there, with a RuntimeWarning, before the evaluator's check
     check_radius(eps)
     lams = np.linspace(0.0, 1.0, grid_n)
-    scale = eps * eps * math.log(eps * eps)
-    scaled = profile_values(1.0 - (1.0 - 2.0 * lams) * eps, eps) / scale
+    profile = lune_potential_profile_array(1.0 - (1.0 - 2.0 * lams) * eps, eps)[1]
+    scaled = profile / (eps * eps * math.log(eps * eps))
     eta = float(np.max(np.abs(scaled - scaled[::-1])))
     return lams, scaled, eta

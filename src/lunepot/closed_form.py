@@ -330,21 +330,10 @@ def wedge_branch_value(q: OverlapQuery) -> float:
     instead of following the region, which makes its profile scaled by
     eps^2*log(eps^2) collapse onto a reflection-symmetric limit curve.
     Used by the band-profile diagnostics only; one lane of
-    ``profile_values``.
+    ``lune_potential_profile_array``.
     """
-    import numpy as np
-
     check_band(q.a, q.eps)
-    return float(profile_values(np.array([q.a]), q.eps)[0])
-
-
-def profile_values(a, eps: float) -> np.ndarray:
-    """``wedge_branch_value`` over an array of band centre distances at one
-    radius, as one array evaluation; unchecked."""
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    return _branch_from_wedge(a, eps, _potential_array(a, eps, _band_wedge_array)[1])
+    return float(lune_potential_profile_array([q.a], q.eps)[1][0])
 
 
 def wedge_term_reordered(q: OverlapQuery) -> float:
@@ -421,8 +410,9 @@ def lune_potential_array(a, eps: float) -> np.ndarray:
 
 
 def lune_potential_profile_array(a, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``lune_potential_array`` and ``profile_values`` over the
-    same centre distances, from one evaluation of the wedge."""
+    """``lune_potential_array`` and ``wedge_branch_value`` over the same
+    centre distances, from one evaluation of the wedge; checked as
+    ``lune_potential_array`` is."""
     a = check_queries(a, eps)
     values, wedge = _potential_array(a, eps, _band_wedge_array)
     return values, _branch_from_wedge(a, eps, wedge)

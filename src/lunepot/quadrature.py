@@ -18,7 +18,9 @@ that one interval at every centre distance; beyond the unit distance
 1 - a*cos(beta) changes sign at cos(beta) = 1/a, which subtracts the part
 of the region bounded from below by the unit circle.  With
 h = sin^2(beta/2) the integrand is (-x + 2a*h)*(log(x^2 + 4a*h) - 1), one
-sin and one log per node, which ``wedge_panel`` writes out inline.
+sin and one log per node.  ``wedge_panel`` is the generic panel
+``_panel(f, lo, hi)`` that ``adaptive_quad`` runs, with this integrand
+written out inline; ``cos_log_panel`` negates it.
 
 The error estimate is the summed |high - low| over panels; panels adjacent
 to integrable log endpoints are bisected until the pair agrees.  The
@@ -32,7 +34,6 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureWarning
@@ -100,15 +101,16 @@ def _wedge_f(beta: float, arg: tuple[float, float, float, float]) -> float:
     return (nx + a2 * h) * (math.log(t) - 1.0)
 
 
-def _panel(f, a, lo: float, hi: float):
+def _panel(f: Callable[[float], float], lo: float, hi: float):
+    # 15- and 7-point estimates of the integral of f over [lo, hi]
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fc = f(c, a)
+    fc = f(c)
     k = _WGK_C * fc
     g = _WG_C * fc
     for i in range(7):
-        fp = f(c + h * _XGK[i], a)
-        fm = f(c - h * _XGK[i], a)
+        fp = f(c + h * _XGK[i])
+        fm = f(c - h * _XGK[i])
         k += _WGK[i] * (fp + fm)
         if i & 1:
             g += _WG[(i - 1) >> 1] * (fp + fm)
@@ -124,9 +126,9 @@ def wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):
     (1 - a cos beta)(log s^2 - 1) over [lo, hi] in the arc angle beta,
     arg = (-x, x^2, 2a, 4a) with x = a - 1.
 
-    ``_panel(_wedge_f, arg, lo, hi)`` with the integrand written out at
-    each node, in the same operation order: the results are bit-identical,
-    without two Python calls per node.
+    ``_panel(lambda b: _wedge_f(b, arg), lo, hi)`` with the integrand
+    written out at each node, in the same operation order: the results are
+    bit-identical, without two Python calls per node.
     """
     sin = math.sin
     log = math.log
@@ -231,14 +233,6 @@ def _result(value: float, err: float, count: int, converged: bool, tol: float) -
     return QuadResult(value, err, count, converged)
 
 
-def _call_unary(x: float, f: Callable[[float], float]) -> float:
-    # _panel evaluates f(x, arg); adaptive_quad's integrand is the arg
-    return f(x)
-
-
-_unary_panel = partial(_panel, _call_unary)
-
-
 def adaptive_quad(
     f: Callable[[float], float],
     lo: float,
@@ -255,7 +249,7 @@ def adaptive_quad(
     sign = 1.0
     if hi < lo:
         lo, hi, sign = hi, lo, -1.0
-    value, err, count, converged = _run_adaptive(_unary_panel, f, lo, hi, tol, budget)
+    value, err, count, converged = _run_adaptive(_panel, f, lo, hi, tol, budget)
     return _result(sign * value, err, count, converged, tol)
 
 

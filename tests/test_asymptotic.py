@@ -20,13 +20,12 @@ from lunepot.asymptotic import (
     lune_potential_series_array,
     lune_potential_stable,
     profile_value,
-    profile_values,
     to_band,
     unit_wedge_series,
 )
-from lunepot.closed_form import lune_potential, wedge_term
+from lunepot.closed_form import lune_potential, lune_potential_profile_array, wedge_term
 from lunepot.errors import DomainError
-from lunepot.geometry import OverlapQuery, intersection_angle, phi_map
+from lunepot.geometry import EPS_MIN, OverlapQuery, intersection_angle, phi_map
 
 PI = math.pi
 
@@ -149,6 +148,16 @@ class TestCoefficients:
             assert c.branch == "Inner"
             assert c.c_log == pytest.approx(0.0, abs=1e-16)
             assert c.c_quad == pytest.approx(0.0, abs=1e-16)
+
+    @given(
+        lam=st.floats(min_value=-1e-12, max_value=0.5),
+        eps=st.floats(min_value=EPS_MIN, max_value=math.nextafter(1.0, 0.0)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_lower_half_band_is_inner(self, lam, eps):
+        # lam <= 1/2 maps to x = a - 1 <= 0, so x*(2 + x) <= 0 <= eps^2:
+        # the outer branch needs lam > 1/2 without a check of its own
+        assert band_coefficients(BandPoint(lam, eps)).branch == "Inner"
 
     def test_outer_leading_constant(self):
         # Richardson check of the constant term against the exact core
@@ -367,7 +376,8 @@ class TestStableArray:
         assert got == lune_potential_series(OverlapQuery(a, e))
         if 1.0 - e <= a <= 1.0 + e:
             bound = 1e-13 * e * e * abs(math.log(e * e))
-            assert abs(profile_values(np.array([a]), e)[0] - profile_value(a, e)) <= bound
+            profile = lune_potential_profile_array(np.array([a]), e)[1][0]
+            assert abs(profile - profile_value(a, e)) <= bound
 
     def test_regimes_and_constants(self):
         # a power-of-two radius, so that 1 -/+ e are the band edges exactly

@@ -459,6 +459,22 @@ class TestDiagnostics:
             ]
             assert out == "\n".join(want) + "\n"
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("eps", ["0.3", "1e-3", "1e-9", "0.8"])
+    def test_scaled_column_matches_band_sweep(self, capsys, eps, mode):
+        # both commands print the scaled branch-value profile on the same
+        # band grid: the (a, scaled) columns agree byte for byte
+        code, diag, _ = run_cli(capsys, "diagnostics", "--eps", eps, "--n", "51")
+        assert code == 0
+        code, sweep, _ = run_cli(
+            capsys, "sweep", "--eps", eps, "--n", "51", "--lambda-grid", "--scaled", "--mode", mode
+        )
+        assert code == 0
+        diag_rows = [row.split(",")[1:] for row in diag.splitlines()[1:]]
+        sweep_rows = [row.split(",")[::4] for row in sweep.splitlines()[1:]]
+        assert len(diag_rows) == 51
+        assert diag_rows == sweep_rows
+
 
 class TestParserReuse:
     # main builds its parser once per process; argv that each start from

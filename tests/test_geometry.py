@@ -204,6 +204,8 @@ def test_radius_warning_names_the_caller(call):
         lambda v: chord_radius(0.3, v),
         lambda v: radial_log_primitive(0.5, v),
         lambda v: dilog_lower_boundary(v),
+        # the radius is checked before the band grid, where 0*inf warns
+        lambda v: band_profile(v, 5),
     ],
     ids=[
         "angular_primitive",
@@ -212,6 +214,7 @@ def test_radius_warning_names_the_caller(call):
         "chord_radius-a",
         "radial_log_primitive",
         "dilog_lower_boundary",
+        "band_profile",
     ],
 )
 def test_non_finite_inputs_raise(call, bad):
