@@ -61,22 +61,41 @@ def _band_envelope(eps: float) -> float:
     return 0.25 * e2 * (1.0 - math.log(e2))
 
 
+# bound on the scaled gap |d| / (eps^2 (|log eps^2| + 1)) of the oracle
+# check; the absolute bound alone passes any value below eps ~ 1e-5, where
+# the whole potential is below 1e-9
+ORACLE_SCALED_TOL = 1e-12
+
+
 def check_oracle_agreement(
     eps_list: Sequence[float] = (0.5, 0.2, 0.05, 0.01),
     grid_n: int = 200,
     quad_tol: float = 1e-12,
     tol: float = 1e-9,
 ) -> CheckResult:
-    """Closed-form potential against the quadrature oracle on uniform grids."""
-    worst = 0.0
-    where = ""
+    """Closed-form potential against the quadrature oracle on a uniform
+    grid over [0, 1 + eps] and a 201-point band-coordinate grid per radius.
+    Passes when the largest gap is within ``tol`` and the largest scaled gap
+    |d| / (eps^2 (|log eps^2| + 1)) within ``ORACLE_SCALED_TOL``."""
+    worst = worst_scaled = 0.0
+    where = where_scaled = ""
+    # from_band's a = 1 - (1 - 2 lam) eps on a uniform lam grid
+    band = 1.0 - 2.0 * np.linspace(0.0, 1.0, 201)
     for e in eps_list:
-        for a in np.linspace(0.0, 1.0 + e, grid_n):
-            q = OverlapQuery(float(a), e)
+        e2 = e * e
+        scale = e2 * (abs(math.log(e2)) + 1.0)
+        for a in np.concatenate((np.linspace(0.0, 1.0 + e, grid_n), 1.0 - band * e)).tolist():
+            q = OverlapQuery(a, e)
             d = abs(lune_potential(q) - quad_lune(q, quad_tol).value)
             if d > worst:
-                worst, where = d, f"a={float(a):.6g}, eps={e:g}"
-    return CheckResult("oracle-agreement", worst <= tol, worst, tol, where)
+                worst, where = d, f"a={a:.6g}, eps={e:g}"
+            if d / scale > worst_scaled:
+                worst_scaled, where_scaled = d / scale, f"a={a:.17g}, eps={e:g}"
+    passed = worst <= tol and worst_scaled <= ORACLE_SCALED_TOL
+    detail = f"{where}; scaled {worst_scaled:.3e} tol={ORACLE_SCALED_TOL:.3e}"
+    if where_scaled:
+        detail += f" at {where_scaled}"
+    return CheckResult("oracle-agreement", passed, worst, tol, detail)
 
 
 def _jump(f, th: float, offset: float) -> float:

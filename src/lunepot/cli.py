@@ -139,6 +139,8 @@ def cmd_sweep(args) -> int:
         raise DomainError(f"sweep needs n >= 2, got {n}")
     if args.mode == "oracle" and not args.tol >= MIN_TOL:
         raise DomainError(f"oracle tolerance must be >= {MIN_TOL}, got {args.tol}")
+    # before the band grid, which an infinite radius fills with nan
+    check_radius(eps)
     if args.lambda_grid:
         # from_band at every point of a uniform band-coordinate grid
         grid = 1.0 - (1.0 - 2.0 * np.linspace(0.0, 1.0, n)) * eps

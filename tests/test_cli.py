@@ -414,6 +414,24 @@ class TestValidate:
         assert "FAIL" not in out
         assert out.splitlines()[-1].startswith("6/6 checks passed")
 
+    def test_small_radius_oracle_gap_fails(self, capsys, monkeypatch):
+        # an oracle off by 1e-6 of eps^2 |log eps^2| is far inside the
+        # absolute 1e-9 bound at eps = 1e-8; the scaled bound fails it
+        from lunepot import checks
+
+        def off(q, tol):
+            res = quad_lune(q, tol)
+            e2 = q.eps * q.eps
+            return res._replace(value=res.value + 1e-6 * e2 * abs(math.log(e2)))
+
+        monkeypatch.setattr(checks, "quad_lune", off)
+        code, out, _ = run_cli(capsys, "validate", "--eps", "1e-8")
+        assert code == 1
+        line = next(r for r in out.splitlines() if r.startswith("oracle-agreement"))
+        assert " FAIL " in line
+        assert float(line.split("max_err=")[1].split()[0]) <= 1e-9
+        assert out.splitlines()[-1].startswith("5/6 checks passed")
+
     @pytest.mark.parametrize("eps", ["nan", "1e-300"])
     def test_bad_radius_exit_2(self, capsys, eps):
         # the radii are checked before any check runs: nan used to be
@@ -546,6 +564,23 @@ def test_module_entry_point_prints_warnings_as_lines():
     assert proc.returncode == 0
     assert proc.stdout.startswith("1,0.10000000000000001,OverlapAtUnit,")
     assert proc.stderr == "warning: QuadratureWarning: subdivision budget exhausted\n"
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "-1"])
+def test_module_entry_point_bad_radius_on_band_grid(eps):
+    # the radius is checked before the band grid is formed: an infinite
+    # radius made numpy print a RuntimeWarning line before the error
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lunepot", "sweep", "--eps", eps, "--n", "5", "--lambda-grid"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    got = repr(float(eps))
+    assert proc.stderr == f"error: disc radius must lie in [1.49e-154, 1), got {got}\n"
 
 
 def test_module_entry_point_diagnostics_warns_above_half(tmp_path):

@@ -127,34 +127,115 @@ class TestWedgePanel:
         assert kern.wedge_panel(arg, -1e-3, 1e-3) == generic
 
 
+def _sinh_arg(a, e):
+    # the panel argument and the upper limit of the integral in v, as
+    # quadrature._arc_wedge forms them for x = a - 1 != 0
+    x = a - 1.0
+    x2 = x * x
+    k2 = x2 / (4.0 * a)
+    h = (e + x) * (e - x) / (4.0 * a)
+    end = math.asinh(math.sqrt(h / k2)) if h > 0.0 else 0.0
+    return (-x, 0.5 * x2, math.log(x2) - 1.0, k2), end
+
+
+class TestSinhWedgePanel:
+    # sinh_wedge_panel writes the integrand in v, _sinh_wedge_f, out
+    # inline; it must stay bit-identical to the generic panel over it
+
+    @given(
+        a=st.floats(min_value=1e-3, max_value=1.999).filter(lambda a: a != 1.0),
+        w=st.floats(min_value=0.0, max_value=1.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        v=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_generic_panel(self, a, w, u, v):
+        # a radius between |x| and 1, and a window inside [0, v_V]
+        x = abs(a - 1.0)
+        arg, end = _sinh_arg(a, x + (1.0 - x) * w)
+        lo, hi = end * u, end * v
+        generic = kern._panel(lambda t: kern._sinh_wedge_f(t, arg), lo, hi)
+        assert kern.sinh_wedge_panel(arg, lo, hi) == generic
+
+    @pytest.mark.parametrize("a", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)])
+    def test_longest_interval(self, a):
+        # one ulp from the unit distance at eps near 1, v_V is about 37 and
+        # t = sinh^2(v) reaches about 1e32
+        arg, end = _sinh_arg(a, 0.999)
+        assert end > 36.0
+        generic = kern._panel(lambda t: kern._sinh_wedge_f(t, arg), 0.0, end)
+        assert kern.sinh_wedge_panel(arg, 0.0, end) == generic
+
+
+class TestAgainstMpmath:
+    # the oracle's scaled error |E - E_ref| / (eps^2 |log eps^2|) at its
+    # default tolerance; the tolerance is absolute, so at the smallest
+    # radii and at x just off 0 it admits more than the closed form's 1e-15
+
+    @pytest.mark.parametrize("e", [0.999, 0.5, 0.1, 1e-3, 1e-6, 1e-10])
+    def test_ulp_set(self, e):
+        # x = a - 1 at 0, one ulp either side of it and at fixed fractions of
+        # eps, out to just inside the band edges
+        from mp_reference import scaled_error
+
+        points = [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+        points += [1.0 + s * f * e for f in (1e-8, 1e-3, 0.999999) for s in (1.0, -1.0)]
+        worst = 0.0
+        for a in points:
+            res = quad_lune(OverlapQuery(a, e))
+            assert res.converged, a
+            worst = max(worst, scaled_error(res.value, a, e))
+        assert worst <= 1e-11
+
+    def test_random_band_set(self):
+        # eps log-uniform in [1e-6, 1/2], band coordinate uniform; the
+        # arc-angle route of earlier versions missed 1e-9 on 2.5% of these
+        from mp_reference import scaled_error
+
+        rng = np.random.default_rng(12345)
+        eps = np.exp(rng.uniform(math.log(1e-6), math.log(0.5), 400))
+        a = 1.0 - (1.0 - 2.0 * rng.uniform(0.0, 1.0, 400)) * eps
+        off = []
+        for ai, e in zip(a.tolist(), eps.tolist()):
+            res = quad_lune(OverlapQuery(ai, e))
+            assert res.converged
+            err = scaled_error(res.value, ai, e)
+            if err > 1e-14:
+                off.append((ai, e, err))
+        assert off == []
+
+
 class TestGolden:
     # pinned QuadResults: a change to the panels or to the adaptive
     # driver's set-up must leave every field bit-identical.  Every band
-    # point starts from one interval in the arc angle; the two budget-3
-    # rows stop short of convergence.
+    # point starts from one interval, in v off the unit distance and in the
+    # arc angle at it; the three budget rows stop short of convergence,
+    # the last one on the arc-angle route.
     @pytest.mark.parametrize(
         "fn,a,e,kwargs,want",
         [
             (quad_lune, 0.95, 0.1, {},
-             QuadResult(-0.01145619629606219, 2.438839390512845e-15, 2, True)),
+             QuadResult(-0.01145619629606219, 3.761721678010932e-17, 1, True)),
             (quad_lune, 1.0, 0.1, {},
              QuadResult(-0.006866589699114388, 3.0741222029514897e-13, 4, True)),
             (quad_lune, 1.003, 0.1, {},
-             QuadResult(-0.006554032568462884, 1.5872265266943446e-13, 5, True)),
+             QuadResult(-0.006554032568462884, 5.710151392196817e-14, 2, True)),
             (quad_lune, 1.05, 0.1, {},
-             QuadResult(-0.0023838531929550274, 2.447122084995823e-15, 2, True)),
+             QuadResult(-0.002383853192955028, 3.5781110317990964e-16, 1, True)),
             (quad_lune, 0.9997, 0.001, {},
-             QuadResult(-2.5756492839745374e-06, 3.011949084304242e-14, 1, True)),
+             QuadResult(-2.5756492839743243e-06, 2.922283094632192e-18, 1, True)),
             (quad_lune, 0.8, 0.5, {},
-             QuadResult(-0.11306506237377453, 8.094953408030409e-16, 3, True)),
-            (quad_lune, 1.003, 0.1, {"budget": 3},
-             QuadResult(-0.0065540325680956265, 1.0130703299872326e-09, 3, False)),
+             QuadResult(-0.11306506237377453, 9.719646514340403e-16, 2, True)),
+            (quad_lune, 1.003, 0.1, {"budget": 1},
+             QuadResult(-0.006554032568462884, 1.0776671898471623e-11, 1, False)),
             (quad_wedge, 0.97, 0.05, {},
-             QuadResult(-0.00037164449656332065, 4.725739652980863e-14, 1, True)),
+             QuadResult(-0.0003716444965633206, 9.553535163181051e-18, 1, True)),
             (quad_wedge, 1.02, 0.05, {},
-             QuadResult(0.0002834258645815174, 8.238916991512668e-15, 2, True)),
-            (quad_wedge, 1.003, 0.1, {"budget": 3},
-             QuadResult(4.804109510582424e-05, 5.065351649936163e-10, 3, False)),
+             QuadResult(0.0002834258645815173, 6.369294220379091e-16, 1, True)),
+            (quad_wedge, 1.003, 0.1, {"budget": 1},
+             QuadResult(4.8041094922195554e-05, 5.388335949235811e-12, 1, False)),
+            (quad_wedge, 1.0, 0.1, {"budget": 2},
+             QuadResult(-4.162131645513698e-05, 9.837163017700625e-12, 2, False)),
         ],
     )
     def test_lune_and_wedge(self, fn, a, e, kwargs, want):
@@ -182,8 +263,10 @@ class TestWarningSite:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: quad_lune(OverlapQuery(1.003, 0.1), budget=2),
-            lambda: quad_wedge(OverlapQuery(1.003, 0.1), budget=2),
+            # one bisection at the unit distance (the arc angle), none off
+            # it (v): each stops short
+            lambda: quad_lune(OverlapQuery(1.0, 0.1), budget=2),
+            lambda: quad_wedge(OverlapQuery(1.003, 0.1), budget=1),
             lambda: quad_cos_log(1.0, 1.0, 1e-13, budget=2),
             lambda: adaptive_quad(math.sqrt, 0.0, 1.0, 1e-13, budget=2),
         ],
