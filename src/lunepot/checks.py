@@ -1,10 +1,35 @@
-"""Self-validation checks shared by the CLI and the acceptance suite.
+"""The acceptance suite of ``lunepot validate`` and ``tests/test_acceptance.py``.
 
-Each check compares an independent pair of computations (closed form vs
-quadrature, two exact representations, series vs exact, ...) and reports
-the worst deviation against its tolerance.
+``run_suite`` runs the 11 checks in criterion order.  Each compares two
+independent computations and reports its worst deviation against a bound;
+each criterion's radii, grids and bounds are constants beside its check.
+
+ 1. oracle-agreement: closed form vs ``quad_lune`` (tol 1e-12) on 200 points
+    over [0, 1 + eps] and 201 band points, eps 0.5, 0.2, 0.05, 0.01: gap
+    <= 1e-9, and gap / (eps^2 (|log eps^2| + 1)) <= 1e-12.
+ 2. branch-continuity: jumps at the thresholds, probed at min(1e-9,
+    1e-3 eps), and the wedge at the band edges, eps 0.5, 0.1, 0.01: <= 1e-10.
+ 3. representation-equivalence: wedge vs its change-of-order form on 100
+    points of (1 - eps, 1], eps 0.5, 0.1, 0.01: <= 1e-10.
+ 4. global-bound: |E| <= eps^2 (1 - log eps^2) / 4 + 1e-14 on 200 points
+    over [0, 1 + eps], eps 0.5, 0.2, 0.05, 0.01.
+ 5. golden-tables: closed-form table rows at eps 0.2: <= 1e-12.
+ 6. series-accuracy: band-core series vs exact core, 51 points per branch,
+    eps 1e-2, 1e-3, 1e-4: <= 5e-2 eps.
+ 7. unit-cubic-slope: log-log slope of the cubic expansion's error at a = 1,
+    eps 1e-1, 3e-2, 1e-2, 3e-3, 1e-3: within [4.5, 5.5].
+ 8. angle-series: angle expansion on 101 band points, eps 1e-2, 1e-3:
+    <= 10 eps^3.
+ 9. stability: the stable path finite on 1000 points at each eps 1e-1 ...
+    1e-14; series route vs exact on 401 band points at eps 1e-5:
+    gap / (eps^2 |log eps^2|) <= 1e-6.
+10. asymmetry-index: fit of log eta on log eps, 201-point profiles at eps
+    1e-2, 1e-3, 1e-4: slope in [0.8, 1.2], prefactor in [5e-3, 8e-2].
+11. dilog-identities: reflection at 100 seeded points <= 1e-13; boundary
+    value on the cut at a = 1.1, 2, 5 <= 1e-12.
+
+``eps_list``, the one argument of checks 1-4, is what ``validate --eps`` sets.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -24,6 +49,7 @@ from .asymptotic import (
     lune_potential_series_array,
     lune_potential_stable,
     to_band,
+    unit_wedge_series,
 )
 from .closed_form import (
     angular_primitive,
@@ -42,60 +68,81 @@ PI = math.pi
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One criterion's verdict: its worst figure against its bound, the
+    scaled figure and bound where it has one, and the (eps, eta) points of
+    the asymmetry index's fit."""
+
     name: str
     passed: bool
     max_err: float
     tol: float
     detail: str = ""
+    scaled_err: float | None = None
+    scaled_tol: float | None = None
+    points: tuple[tuple[float, float], ...] = ()
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        out = f"{self.name}: max_err={self.max_err:.3e} tol={self.tol:.3e} {status}"
+        out = f"{self.name}: max_err={self.max_err:.3e} tol={self.tol:.3e}"
+        if self.scaled_err is not None:
+            out += f" scaled_err={self.scaled_err:.3e} scaled_tol={self.scaled_tol:.3e}"
+        out += " PASS" if self.passed else " FAIL"
         if self.detail:
             out += f" ({self.detail})"
         return out
 
 
-def _band_envelope(eps: float) -> float:
-    e2 = eps * eps
-    return 0.25 * e2 * (1.0 - math.log(e2))
+def run_suite(eps_list: Sequence[float] | None = None) -> list[CheckResult]:
+    """The 11 acceptance criteria in order, checks 1-4 at ``eps_list``
+    when it is given and at their own radii otherwise."""
+    radii = {} if eps_list is None else {"eps_list": tuple(eps_list)}
+    return [
+        check_oracle_agreement(**radii),
+        check_branch_continuity(**radii),
+        check_representation_equivalence(**radii),
+        check_global_bound(**radii),
+        check_golden_tables(),
+        check_series_accuracy(),
+        check_unit_cubic_slope(),
+        check_angle_series(),
+        check_stability(),
+        check_asymmetry(),
+        check_dilog_identities(),
+    ]
 
 
-# bound on the scaled gap |d| / (eps^2 (|log eps^2| + 1)) of the oracle
-# check; the absolute bound alone passes any value below eps ~ 1e-5, where
-# the whole potential is below 1e-9
+ORACLE_EPS = (0.5, 0.2, 0.05, 0.01)
+ORACLE_GRID_N = 200
+ORACLE_BAND_N = 201
+ORACLE_QUAD_TOL = 1e-12
+ORACLE_TOL = 1e-9
+# bound on the scaled gap |d| / (eps^2 (|log eps^2| + 1)); the absolute
+# bound alone passes any value below eps ~ 1e-5, where the whole potential
+# is below 1e-9
 ORACLE_SCALED_TOL = 1e-12
 
 
-def check_oracle_agreement(
-    eps_list: Sequence[float] = (0.5, 0.2, 0.05, 0.01),
-    grid_n: int = 200,
-    quad_tol: float = 1e-12,
-    tol: float = 1e-9,
-) -> CheckResult:
-    """Closed-form potential against the quadrature oracle on a uniform
-    grid over [0, 1 + eps] and a 201-point band-coordinate grid per radius.
-    Passes when the largest gap is within ``tol`` and the largest scaled gap
-    |d| / (eps^2 (|log eps^2| + 1)) within ``ORACLE_SCALED_TOL``."""
+def check_oracle_agreement(eps_list: Sequence[float] = ORACLE_EPS) -> CheckResult:
+    """Closed-form potential against the quadrature oracle."""
     worst = worst_scaled = 0.0
     where = where_scaled = ""
     # from_band's a = 1 - (1 - 2 lam) eps on a uniform lam grid
-    band = 1.0 - 2.0 * np.linspace(0.0, 1.0, 201)
+    band = 1.0 - 2.0 * np.linspace(0.0, 1.0, ORACLE_BAND_N)
     for e in eps_list:
         e2 = e * e
         scale = e2 * (abs(math.log(e2)) + 1.0)
-        for a in np.concatenate((np.linspace(0.0, 1.0 + e, grid_n), 1.0 - band * e)).tolist():
+        grid = np.concatenate((np.linspace(0.0, 1.0 + e, ORACLE_GRID_N), 1.0 - band * e))
+        for a in grid.tolist():
             q = OverlapQuery(a, e)
-            d = abs(lune_potential(q) - quad_lune(q, quad_tol).value)
+            d = abs(lune_potential(q) - quad_lune(q, ORACLE_QUAD_TOL).value)
             if d > worst:
                 worst, where = d, f"a={a:.6g}, eps={e:g}"
             if d / scale > worst_scaled:
                 worst_scaled, where_scaled = d / scale, f"a={a:.17g}, eps={e:g}"
-    passed = worst <= tol and worst_scaled <= ORACLE_SCALED_TOL
-    detail = f"{where}; scaled {worst_scaled:.3e} tol={ORACLE_SCALED_TOL:.3e}"
-    if where_scaled:
-        detail += f" at {where_scaled}"
-    return CheckResult("oracle-agreement", passed, worst, tol, detail)
+    passed = worst <= ORACLE_TOL and worst_scaled <= ORACLE_SCALED_TOL
+    detail = f"{where}; scaled at {where_scaled}" if where_scaled else where
+    return CheckResult(
+        "oracle-agreement", passed, worst, ORACLE_TOL, detail, worst_scaled, ORACLE_SCALED_TOL
+    )
 
 
 def _jump(f, th: float, offset: float) -> float:
@@ -109,14 +156,15 @@ def _jump(f, th: float, offset: float) -> float:
     return 2.0 * d1 - d2
 
 
-def check_branch_continuity(
-    eps_list: Sequence[float] = (0.5, 0.1, 0.01),
-    offset: float = 1e-9,
-    tol: float = 1e-10,
-) -> CheckResult:
+CONTINUITY_EPS = (0.5, 0.1, 0.01)
+CONTINUITY_OFFSET = 1e-9
+CONTINUITY_TOL = 1e-10
+
+
+def check_branch_continuity(eps_list: Sequence[float] = CONTINUITY_EPS) -> CheckResult:
     """Jump of the potential and of the wedge term across the branch
-    thresholds, probed at the given offset or at 1e-3*eps where that is
-    smaller, so that the probes stay inside the band at every radius.
+    thresholds, probed at ``CONTINUITY_OFFSET`` or at 1e-3*eps where that
+    is smaller, so that the probes stay inside the band at every radius.
 
     The potential is tested at all four thresholds.  The wedge term is
     tested two-sided at the interior thresholds 1 and sqrt(1+eps^2); at
@@ -131,7 +179,7 @@ def check_branch_continuity(
     for e in eps_list:
         pot = lambda a: lune_potential(OverlapQuery(a, e))
         wed = lambda a: wedge_term(OverlapQuery(a, e))
-        probe = min(offset, 1e-3 * e)
+        probe = min(CONTINUITY_OFFSET, 1e-3 * e)
         for th in (1.0 - e, 1.0, math.sqrt(1.0 + e * e), 1.0 + e):
             d = abs(_jump(pot, th, probe))
             if d > worst:
@@ -149,39 +197,46 @@ def check_branch_continuity(
             d = abs(wed(edge))
             if d > worst:
                 worst, where = d, f"F edge {edge:.6g}, eps={e:g}"
+    tol = CONTINUITY_TOL
     return CheckResult("branch-continuity", worst <= tol, worst, tol, where)
 
 
+REPRESENTATION_EPS = (0.5, 0.1, 0.01)
+REPRESENTATION_GRID_N = 100
+REPRESENTATION_TOL = 1e-10
+
+
 def check_representation_equivalence(
-    eps_list: Sequence[float] = (0.5, 0.1, 0.01),
-    grid_n: int = 100,
-    tol: float = 1e-10,
+    eps_list: Sequence[float] = REPRESENTATION_EPS,
 ) -> CheckResult:
-    """Direct wedge term against the change-of-order representation on
-    (1-eps, 1]."""
+    """Direct wedge term against the change-of-order representation."""
     worst = 0.0
     where = ""
+    n = REPRESENTATION_GRID_N
     for e in eps_list:
-        for k in range(1, grid_n + 1):
-            a = 1.0 - e + e * k / grid_n
+        for k in range(1, n + 1):
+            a = 1.0 - e + e * k / n
             q = OverlapQuery(a, e)
             d = abs(wedge_term(q) - wedge_term_reordered(q))
             if d > worst:
                 worst, where = d, f"a={a:.6g}, eps={e:g}"
+    tol = REPRESENTATION_TOL
     return CheckResult("representation-equivalence", worst <= tol, worst, tol, where)
 
 
-def check_global_bound(
-    eps_list: Sequence[float] = (0.5, 0.2, 0.05, 0.01),
-    grid_n: int = 200,
-    slack: float = 1e-14,
-) -> CheckResult:
+BOUND_EPS = (0.5, 0.2, 0.05, 0.01)
+BOUND_GRID_N = 200
+BOUND_SLACK = 1e-14
+
+
+def check_global_bound(eps_list: Sequence[float] = BOUND_EPS) -> CheckResult:
     """|E| never exceeds eps^2*(1 - log eps^2)/4 anywhere in [0, 1+eps]."""
     worst = -math.inf
     where = ""
     for e in eps_list:
-        env = _band_envelope(e) + slack
-        for a in np.linspace(0.0, 1.0 + e, grid_n):
+        e2 = e * e
+        env = 0.25 * e2 * (1.0 - math.log(e2)) + BOUND_SLACK
+        for a in np.linspace(0.0, 1.0 + e, BOUND_GRID_N):
             q = OverlapQuery(float(a), e)
             excess = abs(lune_potential(q)) - env
             if excess > worst:
@@ -269,30 +324,35 @@ def _table_rows(eps: float) -> Iterable[tuple[str, float, float]]:
     yield "G(1,Phi(phi))", angular_primitive(1.0, big_phi), expected
 
 
-def check_golden_tables(eps: float = 0.2, tol: float = 1e-12) -> CheckResult:
+TABLES_EPS = 0.2
+TABLES_TOL = 1e-12
+
+
+def check_golden_tables() -> CheckResult:
     """Closed-form table rows for the maps and the angular primitive."""
     worst = 0.0
     where = ""
-    for label, got, want in _table_rows(eps):
+    for label, got, want in _table_rows(TABLES_EPS):
         d = abs(got - want)
         if d > worst:
             worst, where = d, label
-    return CheckResult("golden-tables", worst <= tol, worst, tol, where)
+    return CheckResult("golden-tables", worst <= TABLES_TOL, worst, TABLES_TOL, where)
 
 
-def check_series_accuracy(
-    eps_list: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    grid_n: int = 51,
-    factor: float = 5e-2,
-) -> CheckResult:
+SERIES_EPS = (1e-2, 1e-3, 1e-4)
+SERIES_GRID_N = 51
+SERIES_FACTOR = 5e-2
+
+
+def check_series_accuracy() -> CheckResult:
     """Band-core series against the exact core on both branches."""
     worst_ratio = 0.0
     where = ""
-    for e in eps_list:
+    for e in SERIES_EPS:
         lam_star = ((e - 1.0) + math.sqrt(1.0 + e * e)) / (2.0 * e)
-        inner = np.linspace(0.0, lam_star, grid_n)
-        outer = np.linspace(lam_star, 1.0, grid_n + 1)[1:]
-        bound = factor * e
+        inner = np.linspace(0.0, lam_star, SERIES_GRID_N)
+        outer = np.linspace(lam_star, 1.0, SERIES_GRID_N + 1)[1:]
+        bound = SERIES_FACTOR * e
         for lam in np.concatenate([inner, outer]):
             p = BandPoint(float(lam), e)
             d = abs(band_core(p) - band_core_series(p))
@@ -303,29 +363,27 @@ def check_series_accuracy(
     )
 
 
-def check_unit_cubic_slope(
-    eps_list: Sequence[float] = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-    window: tuple[float, float] = (4.5, 5.5),
-) -> CheckResult:
+CUBIC_EPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+CUBIC_WINDOW = (4.5, 5.5)
+
+
+def check_unit_cubic_slope() -> CheckResult:
     """Log-log decay rate of the cubic-expansion error at the unit distance."""
-    from .asymptotic import unit_wedge_series
-
-    errs = [
-        abs(wedge_term(OverlapQuery(1.0, e)) - unit_wedge_series(e)) for e in eps_list
-    ]
-    slope = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0])
-    ok = window[0] <= slope <= window[1]
-    return CheckResult(
-        "unit-cubic-slope", ok, slope, window[1], f"slope, want within {window}"
-    )
+    errs = [abs(wedge_term(OverlapQuery(1.0, e)) - unit_wedge_series(e)) for e in CUBIC_EPS]
+    slope = float(np.polyfit(np.log(CUBIC_EPS), np.log(errs), 1)[0])
+    lo, hi = CUBIC_WINDOW
+    ok = lo <= slope <= hi
+    return CheckResult("unit-cubic-slope", ok, slope, hi, f"slope, want within {CUBIC_WINDOW}")
 
 
-def check_angle_series(
-    eps_list: Sequence[float] = (1e-2, 1e-3),
-    grid_n: int = 101,
-    factor: float = 10.0,
-) -> CheckResult:
-    """Three-term angle expansion against the exact intersection angle.
+ANGLE_EPS = (1e-2, 1e-3)
+ANGLE_GRID_N = 101
+ANGLE_FACTOR = 10.0
+
+
+def check_angle_series() -> CheckResult:
+    """Three-term angle expansion against the exact intersection angle,
+    within ``ANGLE_FACTOR * eps^3``.
 
     The comparison is made at the band coordinate implied by the rounded
     centre distance, so it measures the series remainder rather than the
@@ -333,15 +391,13 @@ def check_angle_series(
     """
     worst_ratio = 0.0
     where = ""
-    for e in eps_list:
-        bound = factor * e * e * e
-        for lam in np.linspace(0.0, 1.0, grid_n):
+    for e in ANGLE_EPS:
+        bound = ANGLE_FACTOR * e * e * e
+        for lam in np.linspace(0.0, 1.0, ANGLE_GRID_N):
             a = from_band(BandPoint(float(lam), e))
             lam_hat = to_band(a, e).lam
-            d = abs(
-                band_angle_series(BandPoint(lam_hat, e))
-                - intersection_angle(OverlapQuery(a, e))
-            )
+            exact = intersection_angle(OverlapQuery(a, e))
+            d = abs(band_angle_series(BandPoint(lam_hat, e)) - exact)
             if d / bound > worst_ratio:
                 worst_ratio, where = d / bound, f"lam={float(lam):.4g}, eps={e:g}"
     return CheckResult(
@@ -349,27 +405,28 @@ def check_angle_series(
     )
 
 
-def check_stability(
-    threshold: float = 1e-5,
-    grid_n: int = 1000,
-    tol: float = 1e-6,
-) -> CheckResult:
-    """Finiteness of the stable path over extreme radii, plus the agreement
-    of the series route (the paper's expansions) with the exact path, on
-    the scaled quantity, at eps = threshold."""
-    for e in np.logspace(-1.0, -14.0, 14):
-        half = grid_n // 2
-        grid = np.concatenate(
-            [np.linspace(0.0, 1.0 + e, half), np.linspace(1.0 - e, 1.0 + e, grid_n - half)]
-        )
-        for a in grid:
-            v = lune_potential_stable(OverlapQuery(float(a), float(e)))
+STABILITY_SCAN_EPS = tuple(np.logspace(-1.0, -14.0, 14).tolist())
+STABILITY_GRID_N = 1000
+STABILITY_THRESHOLD = 1e-5
+STABILITY_THRESHOLD_N = 401
+STABILITY_TOL = 1e-6
+
+
+def check_stability() -> CheckResult:
+    """Stable path finite at extreme radii; series route near the exact path."""
+    tol, n = STABILITY_TOL, STABILITY_GRID_N
+    for e in STABILITY_SCAN_EPS:
+        # half the grid over [0, 1 + eps], half over the band
+        half = n // 2
+        lower = np.linspace(0.0, 1.0 + e, half)
+        grid = np.concatenate([lower, np.linspace(1.0 - e, 1.0 + e, n - half)])
+        for a in grid.tolist():
+            v = lune_potential_stable(OverlapQuery(a, e))
             if not math.isfinite(v):
-                return CheckResult(
-                    "stability", False, math.inf, tol, f"non-finite at a={float(a)}, eps={float(e)}"
-                )
-    e = threshold
-    grid = np.linspace(1.0 - e, 1.0 + e, 401)
+                where = f"non-finite at a={a}, eps={e}"
+                return CheckResult("stability", False, math.inf, tol, where)
+    e = STABILITY_THRESHOLD
+    grid = np.linspace(1.0 - e, 1.0 + e, STABILITY_THRESHOLD_N)
     d = np.abs(lune_potential_series_array(grid, e) - lune_potential_array(grid, e))
     k = int(np.argmax(d))
     worst = float(d[k]) / (e * e * abs(math.log(e * e)))
@@ -377,57 +434,40 @@ def check_stability(
     return CheckResult("stability", worst <= tol, worst, tol, f"threshold agreement, {where}")
 
 
-def check_asymmetry(
-    eps_list: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    grid_n: int = 201,
-    slope_window: tuple[float, float] = (0.8, 1.2),
-    prefactor_window: tuple[float, float] = (5e-3, 8e-2),
-) -> CheckResult:
+ASYMMETRY_EPS = (1e-2, 1e-3, 1e-4)
+ASYMMETRY_GRID_N = 201
+ASYMMETRY_SLOPE_WINDOW = (0.8, 1.2)
+ASYMMETRY_PREFACTOR_WINDOW = (5e-3, 8e-2)
+
+
+def check_asymmetry() -> CheckResult:
     """Asymmetry index of the scaled band profile: slope-1 decay in eps with
-    a prefactor near 2e-2."""
-    return asymmetry_fit(eps_list, grid_n, slope_window, prefactor_window)[3]
+    a prefactor near 2e-2.  The result's ``points`` are the pairs fitted."""
+    etas = [band_profile(e, ASYMMETRY_GRID_N)[2] for e in ASYMMETRY_EPS]
+    slope, logc = np.polyfit(np.log(ASYMMETRY_EPS), np.log(etas), 1)
+    slope = float(slope)
+    prefactor = math.exp(float(logc))
+    lo, hi = ASYMMETRY_SLOPE_WINDOW
+    pmin, pmax = ASYMMETRY_PREFACTOR_WINDOW
+    ok = lo <= slope <= hi and pmin <= prefactor <= pmax
+    detail = f"slope={slope:.3f}, prefactor={prefactor:.3e}"
+    points = tuple(zip(ASYMMETRY_EPS, etas))
+    return CheckResult("asymmetry-index", ok, slope, hi, detail, points=points)
 
 
-def asymmetry_fit(
-    eps_list: Sequence[float],
-    grid_n: int,
-    slope_window: tuple[float, float] = (0.8, 1.2),
-    prefactor_window: tuple[float, float] = (5e-3, 8e-2),
-) -> tuple[list[float], float, float, CheckResult]:
-    """``check_asymmetry`` with the fit it judges: (the asymmetry index at
-    each radius, the slope and log prefactor of the least-squares line of
-    log eta against log eps, the check's result)."""
-    etas = [band_profile(e, grid_n)[2] for e in eps_list]
-    slope, logc = np.polyfit(np.log(eps_list), np.log(etas), 1)
-    slope, logc = float(slope), float(logc)
-    prefactor = math.exp(logc)
-    ok = (
-        slope_window[0] <= slope <= slope_window[1]
-        and prefactor_window[0] <= prefactor <= prefactor_window[1]
-    )
-    result = CheckResult(
-        "asymmetry-index",
-        ok,
-        slope,
-        slope_window[1],
-        f"slope={slope:.3f}, prefactor={prefactor:.3e}",
-    )
-    return etas, slope, logc, result
+DILOG_N = 100
+DILOG_SEED = 20260808
+DILOG_TOL_REFLECTION = 1e-13
+DILOG_TOL_BOUNDARY = 1e-12
 
 
-def check_dilog_identities(
-    n: int = 100,
-    tol_reflection: float = 1e-13,
-    tol_boundary: float = 1e-12,
-    seed: int = 20260808,
-) -> CheckResult:
-    """Reflection identity on random unit-disc points and the boundary value
-    on the cut."""
-    rng = np.random.default_rng(seed)
+def check_dilog_identities() -> CheckResult:
+    """Reflection identity in the unit disc and the boundary value on the cut."""
+    rng = np.random.default_rng(DILOG_SEED)
     worst = 0.0
     where = ""
     count = 0
-    while count < n:
+    while count < DILOG_N:
         x, y = rng.uniform(-1.0, 1.0, 2)
         z = complex(x, y)
         if abs(z) >= 0.995 or abs(z) < 1e-3:
@@ -436,14 +476,12 @@ def check_dilog_identities(
         w = complex(1.0 - z.real, -z.imag)  # opposite side of the axis
         lhs = dilog(z) + dilog(w)
         rhs = PI * PI / 6.0 - cmath.log(z) * cmath.log(w)
-        d = abs(lhs - rhs) / tol_reflection
+        d = abs(lhs - rhs) / DILOG_TOL_REFLECTION
         if d > worst:
             worst, where = d, f"reflection at z={z:.4g}"
     for a in (1.1, 2.0, 5.0):
-        d = abs(dilog_lower_boundary(a).imag + PI * math.log(a)) / tol_boundary
+        d = abs(dilog_lower_boundary(a).imag + PI * math.log(a)) / DILOG_TOL_BOUNDARY
         if d > worst:
             worst, where = d, f"boundary at a={a}"
-    return CheckResult(
-        "dilog-identities", worst <= 1.0, worst, 1.0, f"err/tol at {where}"
-    )
+    return CheckResult("dilog-identities", worst <= 1.0, worst, 1.0, f"err/tol at {where}")
 

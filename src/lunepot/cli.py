@@ -160,32 +160,13 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     from . import checks
 
-    if args.grid_n < 2:
-        raise DomainError(f"validate needs --grid-n >= 2, got {args.grid_n}")
-    eps_list = tuple(args.eps) if args.eps else (0.5, 0.1, 0.01)
-    for e in eps_list:
+    for e in args.eps or ():
         check_radius(e)
-    results = [
-        checks.check_oracle_agreement(eps_list, args.grid_n, args.tol),
-        checks.check_branch_continuity(eps_list),
-        checks.check_representation_equivalence(eps_list),
-        checks.check_global_bound(eps_list),
-        checks.check_golden_tables(),
-        checks.check_dilog_identities(),
-    ]
-    if args.asymptotic:
-        results.append(checks.check_series_accuracy())
-        results.append(checks.check_unit_cubic_slope())
-        results.append(checks.check_angle_series())
-        results.append(checks.check_stability())
-    if args.eta:
-        eta_eps = (1e-2, 1e-3, 1e-4)
-        etas, slope, logc, result = checks.asymmetry_fit(eta_eps, 201)
-        print("eps,eta")
-        for e, eta in zip(eta_eps, etas):
-            print(f"{_fmt(e)},{_fmt(eta)}")
-        print(f"# eta fit: slope={slope:.4f} prefactor={math.exp(logc):.4e}")
-        results.append(result)
+    results = checks.run_suite(args.eps)
+    asymmetry = next(r for r in results if r.name == "asymmetry-index")
+    print("eps,eta")
+    for e, eta in asymmetry.points:
+        print(f"{_fmt(e)},{_fmt(eta)}")
     failed = 0
     for r in results:
         print(r.line())
@@ -250,12 +231,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="run the self-validation checks")
-    p_val.add_argument("--eps", type=float, action="append", help="repeatable; default 0.5 0.1 0.01")
-    p_val.add_argument("--grid-n", type=int, default=200)
-    p_val.add_argument("--tol", type=float, default=1e-12, help="oracle tolerance")
-    p_val.add_argument("--asymptotic", action="store_true", help="include the series checks")
-    p_val.add_argument("--eta", action="store_true", help="print the asymmetry table and fit")
+    p_val = sub.add_parser(
+        "validate", help="run the 11 acceptance checks; print the asymmetry table"
+    )
+    p_val.add_argument(
+        "--eps",
+        type=float,
+        action="append",
+        help="repeatable; the radii of checks 1-4 (default: each check's own radii)",
+    )
     p_val.set_defaults(func=cmd_validate)
 
     p_diag = sub.add_parser("diagnostics", help="scaled band profile and asymmetry index")

@@ -29,9 +29,11 @@ smooth at every x, over [0, asinh(sqrt(h_V/k^2))].  ``sinh_wedge_panel``
 integrates it less its factor 2k (one sinh, one log1p and one sqrt per
 node), with the tolerance scaled by 1/(2k).  At x = 0 the integrand
 2a*h*(log(4a*h) - 1) is taken in beta by ``wedge_panel`` (one sin and one
-log per node), and bisection refines toward its log endpoint.  Each is the
-generic panel ``_panel(f, lo, hi)`` that ``adaptive_quad`` runs, with its
-integrand written out inline; ``cos_log_panel`` negates ``wedge_panel``.
+log per node), and bisection refines toward its log endpoint.
+``wedge_panel`` is the generic panel ``_panel(f, lo, hi)`` that
+``adaptive_quad`` runs; ``sinh_wedge_panel``, which the oracle runs at every
+x != 0, is that panel with its integrand written out inline.
+``cos_log_panel`` negates ``wedge_panel``.
 On the seed-1 oracle benchmark set the panels evaluated per point are
 1.095 (1.707 in beta alone) and the largest partition 4 (10); on 4000
 random band points, eps log-uniform in [1e-6, 1/2], the largest scaled
@@ -150,37 +152,8 @@ _GK_TABLE = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
 def wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):
     """15- and 7-point estimates of the integral of
     (1 - a cos beta)(log s^2 - 1) over [lo, hi] in the arc angle beta,
-    arg = (-x, x^2, 2a, 4a) with x = a - 1.
-
-    ``_panel(lambda b: _wedge_f(b, arg), lo, hi)`` with the integrand
-    written out at each node, in the same operation order: the results are
-    bit-identical, without two Python calls per node.
-    """
-    sin = math.sin
-    log = math.log
-    nx, x2, a2, a4 = arg
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    sh = sin(0.5 * c)
-    hc = sh * sh
-    t = x2 + a4 * hc
-    fc = 0.0 if t < 1e-300 else (nx + a2 * hc) * (log(t) - 1.0)
-    k = _WGK_C * fc
-    g = _WG_C * fc
-    for x, wk, wg in _GK_TABLE:
-        dx = h * x
-        sh = sin(0.5 * (c + dx))
-        hb = sh * sh
-        t = x2 + a4 * hb
-        fp = 0.0 if t < 1e-300 else (nx + a2 * hb) * (log(t) - 1.0)
-        sh = sin(0.5 * (c - dx))
-        hb = sh * sh
-        t = x2 + a4 * hb
-        fm = 0.0 if t < 1e-300 else (nx + a2 * hb) * (log(t) - 1.0)
-        k += wk * (fp + fm)
-        if wg:
-            g += wg * (fp + fm)
-    return k * h, g * h
+    arg = (-x, x^2, 2a, 4a) with x = a - 1."""
+    return _panel(lambda b: _wedge_f(b, arg), lo, hi)
 
 
 def sinh_wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):

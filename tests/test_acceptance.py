@@ -1,89 +1,72 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+The 11 results come from one ``checks.run_suite()`` call, the suite that
+``lunepot validate`` prints.  Run with ``pytest tests/test_acceptance.py
+-v -s`` to see the lines.
 """
+
+import functools
 
 import pytest
 
 from lunepot import checks
 
 
-def _report(number: int, result) -> None:
+@functools.cache
+def _suite():
+    return checks.run_suite()
+
+
+def _report(number: int, name: str) -> None:
+    result = _suite()[number - 1]
+    assert result.name == name
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number:2d} [{result.name}]: {status}  ({result.line()})")
     assert result.passed, result.line()
 
 
 def test_criterion_01_oracle_equivalence():
-    res = checks.check_oracle_agreement(
-        eps_list=(0.5, 0.2, 0.05, 0.01), grid_n=200, quad_tol=1e-12, tol=1e-9
-    )
-    _report(1, res)
+    _report(1, "oracle-agreement")
 
 
 def test_criterion_02_branch_continuity():
-    res = checks.check_branch_continuity(
-        eps_list=(0.5, 0.1, 0.01), offset=1e-9, tol=1e-10
-    )
-    _report(2, res)
+    _report(2, "branch-continuity")
 
 
 def test_criterion_03_representation_equivalence():
-    res = checks.check_representation_equivalence(
-        eps_list=(0.5, 0.1, 0.01), grid_n=100, tol=1e-10
-    )
-    _report(3, res)
+    _report(3, "representation-equivalence")
 
 
 def test_criterion_04_global_bound():
-    res = checks.check_global_bound(
-        eps_list=(0.5, 0.2, 0.05, 0.01), grid_n=200, slack=1e-14
-    )
-    _report(4, res)
+    _report(4, "global-bound")
 
 
 def test_criterion_05_golden_tables():
-    res = checks.check_golden_tables(eps=0.2, tol=1e-12)
-    _report(5, res)
+    _report(5, "golden-tables")
 
 
 def test_criterion_06_series_accuracy():
-    res = checks.check_series_accuracy(
-        eps_list=(1e-2, 1e-3, 1e-4), grid_n=51, factor=5e-2
-    )
-    _report(6, res)
+    _report(6, "series-accuracy")
 
 
 def test_criterion_07_unit_cubic_slope():
-    res = checks.check_unit_cubic_slope(
-        eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3), window=(4.5, 5.5)
-    )
-    _report(7, res)
+    _report(7, "unit-cubic-slope")
 
 
 def test_criterion_08_angle_series():
-    res = checks.check_angle_series(eps_list=(1e-2, 1e-3), grid_n=101, factor=10.0)
-    _report(8, res)
+    _report(8, "angle-series")
 
 
 def test_criterion_09_stability():
-    res = checks.check_stability(threshold=1e-5, grid_n=1000, tol=1e-6)
-    _report(9, res)
+    _report(9, "stability")
 
 
 def test_criterion_10_asymmetry_index():
-    res = checks.check_asymmetry(
-        eps_list=(1e-2, 1e-3, 1e-4),
-        grid_n=201,
-        slope_window=(0.8, 1.2),
-        prefactor_window=(5e-3, 8e-2),
-    )
-    _report(10, res)
+    _report(10, "asymmetry-index")
 
 
 def test_criterion_11_dilog_identities():
-    res = checks.check_dilog_identities(n=100, tol_reflection=1e-13, tol_boundary=1e-12)
-    _report(11, res)
+    _report(11, "dilog-identities")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,87 @@
+import numpy as np
+
 from lunepot import checks
 
 
+def test_criterion_constants():
+    # each criterion's radii, grids and bounds, pinned to the literals the
+    # checks were judged at before they became constants: a change here
+    # moves an acceptance criterion
+    assert checks.ORACLE_EPS == (0.5, 0.2, 0.05, 0.01)
+    assert checks.ORACLE_GRID_N == 200
+    assert checks.ORACLE_BAND_N == 201
+    assert checks.ORACLE_QUAD_TOL == 1e-12
+    assert checks.ORACLE_TOL == 1e-9
+    assert checks.ORACLE_SCALED_TOL == 1e-12
+    assert checks.CONTINUITY_EPS == (0.5, 0.1, 0.01)
+    assert checks.CONTINUITY_OFFSET == 1e-9
+    assert checks.CONTINUITY_TOL == 1e-10
+    assert checks.REPRESENTATION_EPS == (0.5, 0.1, 0.01)
+    assert checks.REPRESENTATION_GRID_N == 100
+    assert checks.REPRESENTATION_TOL == 1e-10
+    assert checks.BOUND_EPS == (0.5, 0.2, 0.05, 0.01)
+    assert checks.BOUND_GRID_N == 200
+    assert checks.BOUND_SLACK == 1e-14
+    assert checks.TABLES_EPS == 0.2
+    assert checks.TABLES_TOL == 1e-12
+    assert checks.SERIES_EPS == (1e-2, 1e-3, 1e-4)
+    assert checks.SERIES_GRID_N == 51
+    assert checks.SERIES_FACTOR == 5e-2
+    assert checks.CUBIC_EPS == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+    assert checks.CUBIC_WINDOW == (4.5, 5.5)
+    assert checks.ANGLE_EPS == (1e-2, 1e-3)
+    assert checks.ANGLE_GRID_N == 101
+    assert checks.ANGLE_FACTOR == 10.0
+    assert checks.STABILITY_SCAN_EPS == tuple(np.logspace(-1.0, -14.0, 14).tolist())
+    assert checks.STABILITY_GRID_N == 1000
+    assert checks.STABILITY_THRESHOLD == 1e-5
+    assert checks.STABILITY_THRESHOLD_N == 401
+    assert checks.STABILITY_TOL == 1e-6
+    assert checks.ASYMMETRY_EPS == (1e-2, 1e-3, 1e-4)
+    assert checks.ASYMMETRY_GRID_N == 201
+    assert checks.ASYMMETRY_SLOPE_WINDOW == (0.8, 1.2)
+    assert checks.ASYMMETRY_PREFACTOR_WINDOW == (5e-3, 8e-2)
+    assert checks.DILOG_N == 100
+    assert checks.DILOG_SEED == 20260808
+    assert checks.DILOG_TOL_REFLECTION == 1e-13
+    assert checks.DILOG_TOL_BOUNDARY == 1e-12
+
+
+def test_only_radii_are_arguments():
+    # checks 1-4 take their radii and nothing else; the rest take nothing
+    import inspect
+
+    params = {
+        name: list(inspect.signature(f).parameters)
+        for name, f in vars(checks).items()
+        if name.startswith("check_")
+    }
+    assert len(params) == 11
+    assert sum(len(p) for p in params.values()) == 4
+    assert all(p in ([], ["eps_list"]) for p in params.values())
+
+
+def test_suite_radii_replace_those_of_checks_1_to_4():
+    res = checks.run_suite([0.3])
+    assert [r.detail.endswith("eps=0.3") for r in res[:4]] == [True] * 4
+    assert res[4:] == checks.run_suite()[4:]
+
+
 def test_stability_threshold_reaches_the_stable_path():
-    # at a non-default threshold the series route runs at eps =
-    # threshold, so the gap to the exact path is measured, not 0
-    res = checks.check_stability(threshold=1e-4, grid_n=20)
+    # the series route runs at eps = STABILITY_THRESHOLD, so the gap to the
+    # exact path is measured, not 0
+    res = checks.check_stability()
     assert res.max_err > 0.0
     assert "a=" in res.detail
+
+
+def test_asymmetry_points_are_the_fit():
+    # the (eps, eta) pairs validate prints are the ones the slope comes from
+    res = checks.check_asymmetry()
+    eps, etas = zip(*res.points)
+    assert eps == checks.ASYMMETRY_EPS
+    slope = np.polyfit(np.log(eps), np.log(etas), 1)[0]
+    assert res.max_err == float(slope)
 
 
 def test_branch_continuity_at_rounded_band_edges():

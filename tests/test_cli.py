@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lunepot import checks
 from lunepot.asymptotic import lune_potential_series, lune_potential_stable, profile_value
 from lunepot.cli import MODES, _fmt, main
 from lunepot.closed_form import lune_potential
@@ -384,41 +385,49 @@ class TestOut:
 
 class TestValidate:
     def test_quick_pass(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "validate", "--eps", "0.5", "--eps", "0.1", "--grid-n", "40"
-        )
+        code, out, _ = run_cli(capsys, "validate", "--eps", "0.5", "--eps", "0.1")
         assert code == 0
         assert "oracle-agreement" in out
         assert "FAIL" not in out
 
     def test_rounded_band_edge_radius(self, capsys):
         # fl(1 - 0.2) and fl(1 + 0.2) lie inside the band
-        code, out, _ = run_cli(capsys, "validate", "--eps", "0.2", "--grid-n", "40")
+        code, out, _ = run_cli(capsys, "validate", "--eps", "0.2")
         assert code == 0
         assert "FAIL" not in out
 
     def test_eta_table(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "validate", "--eps", "0.5", "--grid-n", "10", "--eta"
-        )
+        # the table is the fit the asymmetry check judges, printed once
+        code, out, _ = run_cli(capsys, "validate")
         assert code == 0
-        assert "eps,eta" in out
-        assert "asymmetry-index" in out
+        lines = out.splitlines()
+        assert lines.count("eps,eta") == 1
+        fit = checks.check_asymmetry()
+        table = [f"{_fmt(e)},{_fmt(eta)}" for e, eta in fit.points]
+        assert lines[1 : 1 + len(table)] == table
+        assert fit.line() in lines
+
+    def test_lines_are_the_acceptance_suite(self, capsys):
+        # a plain validate runs each check at its own criterion radii
+        code, out, _ = run_cli(capsys, "validate")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[4:-1] == [r.line() for r in checks.run_suite()]
+        assert lines[-1].startswith("11/11 checks passed")
 
     def test_small_radius_runs_every_check(self, capsys):
         # the continuity probes scale with the radius: a fixed 1e-9 offset
         # left the band below eps ~ 2e-9 and the run exited 2
-        code, out, err = run_cli(capsys, "validate", "--eps", "1e-12", "--grid-n", "20")
+        code, out, err = run_cli(capsys, "validate", "--eps", "1e-12")
         assert code == 0
         assert err == ""
         assert "FAIL" not in out
-        assert out.splitlines()[-1].startswith("6/6 checks passed")
+        assert out.splitlines()[-1].startswith("11/11 checks passed")
 
     def test_small_radius_oracle_gap_fails(self, capsys, monkeypatch):
         # an oracle off by 1e-6 of eps^2 |log eps^2| is far inside the
-        # absolute 1e-9 bound at eps = 1e-8; the scaled bound fails it
-        from lunepot import checks
-
+        # absolute 1e-9 bound at eps = 1e-8; the scaled bound fails it, and
+        # the line shows the scaled figure above its bound
         def off(q, tol):
             res = quad_lune(q, tol)
             e2 = q.eps * q.eps
@@ -429,8 +438,9 @@ class TestValidate:
         assert code == 1
         line = next(r for r in out.splitlines() if r.startswith("oracle-agreement"))
         assert " FAIL " in line
-        assert float(line.split("max_err=")[1].split()[0]) <= 1e-9
-        assert out.splitlines()[-1].startswith("5/6 checks passed")
+        scaled = float(line.split("scaled_err=")[1].split()[0])
+        assert scaled > float(line.split("scaled_tol=")[1].split()[0]) == checks.ORACLE_SCALED_TOL
+        assert out.splitlines()[-1].startswith("10/11 checks passed")
 
     @pytest.mark.parametrize("eps", ["nan", "1e-300"])
     def test_bad_radius_exit_2(self, capsys, eps):
@@ -441,13 +451,16 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: disc radius must lie in")
 
-    @pytest.mark.parametrize("grid_n", ["0", "1", "-5"])
-    def test_grid_n_below_2_exit_2(self, capsys, grid_n):
-        # 0 and 1 would check no oracle point and pass; -5 would reach numpy
-        code, out, err = run_cli(capsys, "validate", "--eps", "0.5", "--grid-n", grid_n)
+    @pytest.mark.parametrize(
+        "argv", [["--asymptotic"], ["--eta"], ["--grid-n", "40"], ["--tol", "1e-9"]]
+    )
+    def test_deleted_options_exit_2(self, capsys, argv):
+        # every check runs at its criterion's grids and bounds; only the
+        # radii of checks 1-4 are an option
+        code, out, err = run_cli(capsys, "validate", *argv)
         assert code == 2
         assert out == ""
-        assert err == f"error: validate needs --grid-n >= 2, got {grid_n}\n"
+        assert "unrecognized arguments" in err
 
 
 class TestDiagnostics:
