@@ -1,8 +1,9 @@
 """The acceptance suite of ``lunepot validate`` and ``tests/test_acceptance.py``.
 
 ``run_suite`` runs the 11 checks in criterion order.  Each compares two
-independent computations and reports its worst deviation against a bound;
-each criterion's radii, grids and bounds are constants beside its check.
+independent computations and reports its worst deviation against a bound,
+where a NaN is the worst and fails; each criterion's radii, grids and bounds
+are constants beside its check.
 
  1. oracle-agreement: closed form vs ``quad_lune`` (tol 1e-12) on 200 points
     over [0, 1 + eps] and 201 band points, eps 0.5, 0.2, 0.05, 0.01: gap
@@ -91,6 +92,18 @@ class CheckResult:
         return out
 
 
+def _worst(pairs: Iterable[tuple[float, str]], start: float = 0.0) -> tuple[float, str]:
+    """The largest of (figure, where) pairs, the first NaN above all, or
+    (start, "") when no figure exceeds ``start``."""
+    top, where = start, ""
+    for d, at in pairs:
+        if math.isnan(d):
+            return d, at
+        if d > top:
+            top, where = d, at
+    return top, where
+
+
 def run_suite(eps_list: Sequence[float] | None = None) -> list[CheckResult]:
     """The 11 acceptance criteria in order, checks 1-4 at ``eps_list``
     when it is given and at their own radii otherwise."""
@@ -123,8 +136,7 @@ ORACLE_SCALED_TOL = 1e-12
 
 def check_oracle_agreement(eps_list: Sequence[float] = ORACLE_EPS) -> CheckResult:
     """Closed-form potential against the quadrature oracle."""
-    worst = worst_scaled = 0.0
-    where = where_scaled = ""
+    gaps = []  # (gap, a, eps, scale)
     # from_band's a = 1 - (1 - 2 lam) eps on a uniform lam grid
     band = 1.0 - 2.0 * np.linspace(0.0, 1.0, ORACLE_BAND_N)
     for e in eps_list:
@@ -134,10 +146,9 @@ def check_oracle_agreement(eps_list: Sequence[float] = ORACLE_EPS) -> CheckResul
         for a in grid.tolist():
             q = OverlapQuery(a, e)
             d = abs(lune_potential(q) - quad_lune(q, ORACLE_QUAD_TOL).value)
-            if d > worst:
-                worst, where = d, f"a={a:.6g}, eps={e:g}"
-            if d / scale > worst_scaled:
-                worst_scaled, where_scaled = d / scale, f"a={a:.17g}, eps={e:g}"
+            gaps.append((d, a, e, scale))
+    worst, where = _worst((d, f"a={a:.6g}, eps={e:g}") for d, a, e, _ in gaps)
+    worst_scaled, where_scaled = _worst((d / s, f"a={a:.17g}, eps={e:g}") for d, a, e, s in gaps)
     passed = worst <= ORACLE_TOL and worst_scaled <= ORACLE_SCALED_TOL
     detail = f"{where}; scaled at {where_scaled}" if where_scaled else where
     return CheckResult(
@@ -174,29 +185,23 @@ def check_branch_continuity(eps_list: Sequence[float] = CONTINUITY_EPS) -> Check
     outside it: the double nearest 1 -/+ eps can lie inside the band,
     where the wedge is O(sqrt(distance)) and not 0.
     """
-    worst = 0.0
-    where = ""
+    jumps = []  # (|jump|, where)
     for e in eps_list:
         pot = lambda a: lune_potential(OverlapQuery(a, e))
         wed = lambda a: wedge_term(OverlapQuery(a, e))
         probe = min(CONTINUITY_OFFSET, 1e-3 * e)
         for th in (1.0 - e, 1.0, math.sqrt(1.0 + e * e), 1.0 + e):
-            d = abs(_jump(pot, th, probe))
-            if d > worst:
-                worst, where = d, f"E at {th:.6g}, eps={e:g}"
+            jumps.append((abs(_jump(pot, th, probe)), f"E at {th:.6g}, eps={e:g}"))
         for th in (1.0, math.sqrt(1.0 + e * e)):
-            d = abs(_jump(wed, th, probe))
-            if d > worst:
-                worst, where = d, f"F at {th:.6g}, eps={e:g}"
+            jumps.append((abs(_jump(wed, th, probe)), f"F at {th:.6g}, eps={e:g}"))
         lo, hi = 1.0 - e, 1.0 + e
         while lo - 1.0 > -e:
             lo = math.nextafter(lo, 0.0)
         while hi - 1.0 < e:
             hi = math.nextafter(hi, 2.0)
         for edge in (lo, hi):
-            d = abs(wed(edge))
-            if d > worst:
-                worst, where = d, f"F edge {edge:.6g}, eps={e:g}"
+            jumps.append((abs(wed(edge)), f"F edge {edge:.6g}, eps={e:g}"))
+    worst, where = _worst(jumps)
     tol = CONTINUITY_TOL
     return CheckResult("branch-continuity", worst <= tol, worst, tol, where)
 
@@ -210,16 +215,12 @@ def check_representation_equivalence(
     eps_list: Sequence[float] = REPRESENTATION_EPS,
 ) -> CheckResult:
     """Direct wedge term against the change-of-order representation."""
-    worst = 0.0
-    where = ""
     n = REPRESENTATION_GRID_N
-    for e in eps_list:
-        for k in range(1, n + 1):
-            a = 1.0 - e + e * k / n
-            q = OverlapQuery(a, e)
-            d = abs(wedge_term(q) - wedge_term_reordered(q))
-            if d > worst:
-                worst, where = d, f"a={a:.6g}, eps={e:g}"
+    queries = (OverlapQuery(1.0 - e + e * k / n, e) for e in eps_list for k in range(1, n + 1))
+    worst, where = _worst(
+        (abs(wedge_term(q) - wedge_term_reordered(q)), f"a={q.a:.6g}, eps={q.eps:g}")
+        for q in queries
+    )
     tol = REPRESENTATION_TOL
     return CheckResult("representation-equivalence", worst <= tol, worst, tol, where)
 
@@ -231,16 +232,15 @@ BOUND_SLACK = 1e-14
 
 def check_global_bound(eps_list: Sequence[float] = BOUND_EPS) -> CheckResult:
     """|E| never exceeds eps^2*(1 - log eps^2)/4 anywhere in [0, 1+eps]."""
-    worst = -math.inf
-    where = ""
+    excesses = []  # (|E| - envelope, where)
     for e in eps_list:
         e2 = e * e
         env = 0.25 * e2 * (1.0 - math.log(e2)) + BOUND_SLACK
-        for a in np.linspace(0.0, 1.0 + e, BOUND_GRID_N):
-            q = OverlapQuery(float(a), e)
-            excess = abs(lune_potential(q)) - env
-            if excess > worst:
-                worst, where = excess, f"a={float(a):.6g}, eps={e:g}"
+        for a in np.linspace(0.0, 1.0 + e, BOUND_GRID_N).tolist():
+            excess = abs(lune_potential(OverlapQuery(a, e))) - env
+            excesses.append((excess, f"a={a:.6g}, eps={e:g}"))
+    # from -inf, so that where names the largest excess when all are negative
+    worst, where = _worst(excesses, -math.inf)
     return CheckResult("global-bound", worst <= 0.0, max(worst, 0.0), 0.0, where)
 
 
@@ -330,12 +330,7 @@ TABLES_TOL = 1e-12
 
 def check_golden_tables() -> CheckResult:
     """Closed-form table rows for the maps and the angular primitive."""
-    worst = 0.0
-    where = ""
-    for label, got, want in _table_rows(TABLES_EPS):
-        d = abs(got - want)
-        if d > worst:
-            worst, where = d, label
+    worst, where = _worst((abs(got - want), label) for label, got, want in _table_rows(TABLES_EPS))
     return CheckResult("golden-tables", worst <= TABLES_TOL, worst, TABLES_TOL, where)
 
 
@@ -346,18 +341,17 @@ SERIES_FACTOR = 5e-2
 
 def check_series_accuracy() -> CheckResult:
     """Band-core series against the exact core on both branches."""
-    worst_ratio = 0.0
-    where = ""
+    ratios = []  # (gap / bound, where)
     for e in SERIES_EPS:
         lam_star = ((e - 1.0) + math.sqrt(1.0 + e * e)) / (2.0 * e)
         inner = np.linspace(0.0, lam_star, SERIES_GRID_N)
         outer = np.linspace(lam_star, 1.0, SERIES_GRID_N + 1)[1:]
         bound = SERIES_FACTOR * e
-        for lam in np.concatenate([inner, outer]):
-            p = BandPoint(float(lam), e)
+        for lam in np.concatenate([inner, outer]).tolist():
+            p = BandPoint(lam, e)
             d = abs(band_core(p) - band_core_series(p))
-            if d / bound > worst_ratio:
-                worst_ratio, where = d / bound, f"lam={float(lam):.4g}, eps={e:g}"
+            ratios.append((d / bound, f"lam={lam:.4g}, eps={e:g}"))
+    worst_ratio, where = _worst(ratios)
     return CheckResult(
         "series-accuracy", worst_ratio <= 1.0, worst_ratio, 1.0, f"err/(5e-2*eps) at {where}"
     )
@@ -367,13 +361,23 @@ CUBIC_EPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 CUBIC_WINDOW = (4.5, 5.5)
 
 
+def _log_fit(eps: Sequence[float], figures: Sequence[float]) -> tuple[float, float, str]:
+    """Slope and intercept of log(figure) on log(eps) and "", or NaN, NaN and
+    the reason when a figure is zero, negative or not finite."""
+    for e, d in zip(eps, figures):
+        if not 0.0 < d < math.inf:
+            return math.nan, math.nan, f"{d!r} at eps={e:g}: no log-log fit"
+    slope, logc = np.polyfit(np.log(eps), np.log(figures), 1)
+    return float(slope), float(logc), ""
+
+
 def check_unit_cubic_slope() -> CheckResult:
     """Log-log decay rate of the cubic-expansion error at the unit distance."""
     errs = [abs(wedge_term(OverlapQuery(1.0, e)) - unit_wedge_series(e)) for e in CUBIC_EPS]
-    slope = float(np.polyfit(np.log(CUBIC_EPS), np.log(errs), 1)[0])
+    slope, _, bad = _log_fit(CUBIC_EPS, errs)
     lo, hi = CUBIC_WINDOW
-    ok = lo <= slope <= hi
-    return CheckResult("unit-cubic-slope", ok, slope, hi, f"slope, want within {CUBIC_WINDOW}")
+    detail = bad or f"slope, want within {CUBIC_WINDOW}"
+    return CheckResult("unit-cubic-slope", lo <= slope <= hi, slope, hi, detail)
 
 
 ANGLE_EPS = (1e-2, 1e-3)
@@ -389,17 +393,16 @@ def check_angle_series() -> CheckResult:
     centre distance, so it measures the series remainder rather than the
     square-root sensitivity of the edge map to that rounding.
     """
-    worst_ratio = 0.0
-    where = ""
+    ratios = []  # (gap / bound, where)
     for e in ANGLE_EPS:
         bound = ANGLE_FACTOR * e * e * e
-        for lam in np.linspace(0.0, 1.0, ANGLE_GRID_N):
-            a = from_band(BandPoint(float(lam), e))
+        for lam in np.linspace(0.0, 1.0, ANGLE_GRID_N).tolist():
+            a = from_band(BandPoint(lam, e))
             lam_hat = to_band(a, e).lam
             exact = intersection_angle(OverlapQuery(a, e))
             d = abs(band_angle_series(BandPoint(lam_hat, e)) - exact)
-            if d / bound > worst_ratio:
-                worst_ratio, where = d / bound, f"lam={float(lam):.4g}, eps={e:g}"
+            ratios.append((d / bound, f"lam={lam:.4g}, eps={e:g}"))
+    worst_ratio, where = _worst(ratios)
     return CheckResult(
         "angle-series", worst_ratio <= 1.0, worst_ratio, 1.0, f"err/(10*eps^3) at {where}"
     )
@@ -444,13 +447,12 @@ def check_asymmetry() -> CheckResult:
     """Asymmetry index of the scaled band profile: slope-1 decay in eps with
     a prefactor near 2e-2.  The result's ``points`` are the pairs fitted."""
     etas = [band_profile(e, ASYMMETRY_GRID_N)[2] for e in ASYMMETRY_EPS]
-    slope, logc = np.polyfit(np.log(ASYMMETRY_EPS), np.log(etas), 1)
-    slope = float(slope)
-    prefactor = math.exp(float(logc))
+    slope, logc, bad = _log_fit(ASYMMETRY_EPS, etas)
+    prefactor = math.exp(logc)
     lo, hi = ASYMMETRY_SLOPE_WINDOW
     pmin, pmax = ASYMMETRY_PREFACTOR_WINDOW
     ok = lo <= slope <= hi and pmin <= prefactor <= pmax
-    detail = f"slope={slope:.3f}, prefactor={prefactor:.3e}"
+    detail = bad or f"slope={slope:.3f}, prefactor={prefactor:.3e}"
     points = tuple(zip(ASYMMETRY_EPS, etas))
     return CheckResult("asymmetry-index", ok, slope, hi, detail, points=points)
 
@@ -464,8 +466,7 @@ DILOG_TOL_BOUNDARY = 1e-12
 def check_dilog_identities() -> CheckResult:
     """Reflection identity in the unit disc and the boundary value on the cut."""
     rng = np.random.default_rng(DILOG_SEED)
-    worst = 0.0
-    where = ""
+    ratios = []  # (gap / tolerance, where)
     count = 0
     while count < DILOG_N:
         x, y = rng.uniform(-1.0, 1.0, 2)
@@ -476,12 +477,10 @@ def check_dilog_identities() -> CheckResult:
         w = complex(1.0 - z.real, -z.imag)  # opposite side of the axis
         lhs = dilog(z) + dilog(w)
         rhs = PI * PI / 6.0 - cmath.log(z) * cmath.log(w)
-        d = abs(lhs - rhs) / DILOG_TOL_REFLECTION
-        if d > worst:
-            worst, where = d, f"reflection at z={z:.4g}"
+        ratios.append((abs(lhs - rhs) / DILOG_TOL_REFLECTION, f"reflection at z={z:.4g}"))
     for a in (1.1, 2.0, 5.0):
         d = abs(dilog_lower_boundary(a).imag + PI * math.log(a)) / DILOG_TOL_BOUNDARY
-        if d > worst:
-            worst, where = d, f"boundary at a={a}"
+        ratios.append((d, f"boundary at a={a}"))
+    worst, where = _worst(ratios)
     return CheckResult("dilog-identities", worst <= 1.0, worst, 1.0, f"err/tol at {where}")
 

@@ -267,6 +267,18 @@ class TestUnitSeries:
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
         assert 4.5 <= slope <= 5.5
 
+    def test_remainder_order_to_small_radii(self):
+        # against the mpmath wedge, where the double wedge term's rounding
+        # does not swamp the remainder, the quintic order holds well below
+        # check 7's smallest radius 1e-3: every local log-log slope lies in
+        # the check's window
+        from mp_reference import wedge
+
+        eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
+        errs = [abs(float(wedge(1.0, e) - unit_wedge_series(e))) for e in eps_list]
+        slopes = np.diff(np.log(errs)) / np.diff(np.log(eps_list))
+        assert np.all((4.5 <= slopes) & (slopes <= 5.5)), slopes
+
     def test_domain(self):
         # at 1e-300 the cube underflowed and the series read -0.0
         for eps in (0.9, 1e-300):

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 
 from lunepot import checks
+from lunepot.quadrature import quad_lune
 
 
 def test_criterion_constants():
@@ -98,3 +102,49 @@ def test_branch_continuity_at_small_radii():
     # outside the band below eps ~ 2e-9 and the check raised
     res = checks.check_branch_continuity((1e-6, 1e-9, 1e-12))
     assert res.passed, res
+
+
+def _nan_at_unit_distance(q, tol):
+    res = quad_lune(q, tol)
+    return res._replace(value=math.nan) if q.a == 1.0 else res
+
+
+NAN_EVALUATORS = {
+    "check_oracle_agreement": ("quad_lune", _nan_at_unit_distance),
+    "check_branch_continuity": ("lune_potential", lambda q: math.nan),
+    "check_representation_equivalence": ("wedge_term_reordered", lambda q: math.nan),
+    "check_global_bound": ("lune_potential", lambda q: math.nan),
+    "check_golden_tables": ("big_l", lambda theta, a: math.nan),
+    "check_series_accuracy": ("band_core", lambda p: math.nan),
+    "check_angle_series": ("band_angle_series", lambda p: math.nan),
+    "check_dilog_identities": ("dilog", lambda z: complex(math.nan, math.nan)),
+}
+
+
+@pytest.mark.parametrize("check", NAN_EVALUATORS)
+def test_nan_figure_fails(monkeypatch, check):
+    # a NaN is the worst figure: `d > worst` is false for NaN, so a check
+    # that compared that way skipped the point and passed
+    monkeypatch.setattr(checks, *NAN_EVALUATORS[check])
+    res = getattr(checks, check)()
+    assert not res.passed
+    assert math.isnan(res.max_err)
+    assert "max_err=nan" in res.line() and res.line().endswith(f"FAIL ({res.detail})")
+    if check == "check_oracle_agreement":
+        assert math.isnan(res.scaled_err)
+        assert res.detail == "a=1, eps=0.5; scaled at a=1, eps=0.5"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gap", [0.0, math.nan])
+def test_slope_fits_fail_without_a_log(monkeypatch, gap):
+    # np.log of a zero error warned, and raised under -W error, before the
+    # check could print its FAIL; the detail names the error that has no log
+    monkeypatch.setattr(checks, "wedge_term", lambda q: checks.unit_wedge_series(q.eps) + gap)
+    monkeypatch.setattr(checks, "band_profile", lambda e, n: (None, None, gap))
+    cubic, asymmetry = checks.check_unit_cubic_slope(), checks.check_asymmetry()
+    assert not cubic.passed and math.isnan(cubic.max_err)
+    assert cubic.detail == f"{gap!r} at eps=0.1: no log-log fit"
+    assert not asymmetry.passed and math.isnan(asymmetry.max_err)
+    assert asymmetry.detail == f"{gap!r} at eps=0.01: no log-log fit"
+    assert asymmetry.points == tuple((e, gap) for e in checks.ASYMMETRY_EPS)

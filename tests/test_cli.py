@@ -442,6 +442,15 @@ class TestValidate:
         assert scaled > float(line.split("scaled_tol=")[1].split()[0]) == checks.ORACLE_SCALED_TOL
         assert out.splitlines()[-1].startswith("10/11 checks passed")
 
+    def test_nan_potential_fails(self, capsys, monkeypatch):
+        # a NaN potential fails every check that judges it
+        monkeypatch.setattr(checks, "lune_potential", lambda q: math.nan)
+        code, out, _ = run_cli(capsys, "validate", "--eps", "0.5")
+        assert code == 1
+        failed = [line.split(":")[0] for line in out.splitlines() if " FAIL" in line]
+        assert failed == ["oracle-agreement", "branch-continuity", "global-bound"]
+        assert out.splitlines()[-1].startswith("8/11 checks passed")
+
     @pytest.mark.parametrize("eps", ["nan", "1e-300"])
     def test_bad_radius_exit_2(self, capsys, eps):
         # the radii are checked before any check runs: nan used to be
