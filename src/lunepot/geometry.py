@@ -195,8 +195,9 @@ def _band_root(x: float, r: float) -> float:
 
 
 def _band_angle(x: float, e: float) -> float:
-    # intersection_angle from x = a - 1, unchecked; quadrature.quad_lune
-    # calls it directly on the open band
+    # intersection_angle from x = a - 1, unchecked; closed_form.lune_potential
+    # and quadrature.quad_lune write it out on the open band, where no
+    # factor of _band_root needs its clamp
     return math.atan2(_band_root(x, e), -(x * (2.0 + x) + e * e))
 
 

@@ -30,20 +30,25 @@ integrates it less its factor 2k (one sinh, one log1p and one sqrt per
 node), with the tolerance scaled by 1/(2k).  At x = 0 the integrand
 2a*h*(log(4a*h) - 1) is taken in beta by ``wedge_panel`` (one sin and one
 log per node), and bisection refines toward its log endpoint.
-``wedge_panel`` is the generic panel ``_panel(f, lo, hi)`` that
-``adaptive_quad`` runs; ``sinh_wedge_panel``, which the oracle runs at every
-x != 0, is that panel with its integrand written out inline.
-``cos_log_panel`` negates ``wedge_panel``.
+Each integrand is written once, as source; at import it is compiled into
+a scalar function and into its panels, straight-line code from one GK 15/7
+template in the operation order of the loop panel ``_panel(f, lo, hi)``
+that ``adaptive_quad`` runs, so the results are bit-identical to it with no
+Python call per node.  ``cos_log_panel`` is ``wedge_panel`` negated on
+return.
 On the seed-1 oracle benchmark set the panels evaluated per point are
 1.095 (1.707 in beta alone) and the largest partition 4 (10); on 4000
 random band points, eps log-uniform in [1e-6, 1/2], the largest scaled
 error |E - E_ref|/(eps^2 |log eps^2|) is 2.4e-16.
 
 The error estimate is the summed |high - low| over panels; panels adjacent
-to integrable log endpoints are bisected until the pair agrees.  The
-driver returns once the first panel meets the tolerance, as QUADPACK's
-qag does, and builds a heap only to bisect.  ``quad_lune`` takes the
-sector angle from ``intersection_angle``'s core.
+to integrable log endpoints are bisected until the pair agrees.  A first
+panel that meets the tolerance is returned at once, as QUADPACK's qag
+does, and the heap is built only to bisect.  Off the unit distance the
+route in v evaluates its first panel itself and returns it when it
+converges; otherwise the bisection driver starts from its estimates
+without evaluating it again.  ``quad_lune`` forms the sector angle
+inline, as ``lune_potential`` does.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import warnings
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureWarning
-from .geometry import OverlapQuery, _band_angle, check_band
+from .geometry import OverlapQuery, check_band
 
 # quadrature's former calls into geometry; perfbench/tracing.py still wraps
 # them under these names, so they stay importable from here
@@ -105,28 +110,53 @@ _WG = (
 _WG_C = 0.41795918367346938775510204081633
 
 
-def _wedge_f(beta: float, arg: tuple[float, float, float, float]) -> float:
-    # (1 - a cos beta)(log s^2 - 1) at the arc angle beta, with
-    # h = sin^2(beta/2): 1 - a cos beta = -x + 2a h, s^2 = x^2 + 4a h;
-    # arg = (-x, x^2, 2a, 4a), x = a - 1
-    nx, x2, a2, a4 = arg
-    sh = math.sin(0.5 * beta)
-    h = sh * sh
-    t = x2 + a4 * h
-    if t < 1e-300:
-        return 0.0
-    return (nx + a2 * h) * (math.log(t) - 1.0)
+# The panels' integrands, each written once as source: the statement that
+# names its argument's fields, the statements at a node {v}, and the value
+# there.  _compile_integrand makes the scalar function f(v, arg), the tests'
+# reference through _panel; _compile_panel writes a panel out straight-line.
+
+# (1 - a cos beta)(log s^2 - 1) at the arc angle beta, with h = sin^2(beta/2):
+# 1 - a cos beta = -x + 2a h, s^2 = x^2 + 4a h; arg = (-x, x^2, 2a, 4a),
+# x = a - 1
+_ARC = (
+    "nx, x2, a2, a4 = arg",
+    ("sh = sin(0.5 * {v})", "h = sh * sh", "t = x2 + a4 * h"),
+    "0.0 if t < 1e-300 else (nx + a2 * h) * (log(t) - 1.0)",
+)
+# the arc integrand in v, sin(beta/2) = k sinh(v), k^2 = x^2/(4a), without
+# its factor 2k: with t = sinh^2(v), -x + 2a h = -x + x^2 t/2,
+# log s^2 = log x^2 + log1p(t) and dbeta/dv = 2k sqrt((1 + t)/(1 - k^2 t));
+# arg = (-x, x^2/2, log x^2 - 1, k^2)
+_SINH_ARC = (
+    "nx, hx2, lx, k2 = arg",
+    ("s = sinh({v})", "t = s * s"),
+    "(nx + hx2 * t) * (lx + log1p(t)) * sqrt((1.0 + t) / (1.0 - k2 * t))",
+)
 
 
-def _sinh_wedge_f(v: float, arg: tuple[float, float, float, float]) -> float:
-    # the arc integrand in v, sin(beta/2) = k sinh(v), k^2 = x^2/(4a),
-    # without its factor 2k: with t = sinh^2(v), -x + 2a h = -x + x^2 t/2,
-    # log s^2 = log x^2 + log1p(t) and dbeta/dv = 2k sqrt((1 + t)/(1 - k^2 t));
-    # arg = (-x, x^2/2, log x^2 - 1, k^2)
-    nx, hx2, lx, k2 = arg
-    s = math.sinh(v)
-    t = s * s
-    return (nx + hx2 * t) * (lx + math.log1p(t)) * math.sqrt((1.0 + t) / (1.0 - k2 * t))
+def _define(name: str, src: list[str]):
+    # the function named name that the lines src define, a def line first;
+    # a traceback names its file <generated name>
+    namespace = {
+        "__name__": __name__,
+        "sin": math.sin,
+        "sinh": math.sinh,
+        "log": math.log,
+        "log1p": math.log1p,
+        "sqrt": math.sqrt,
+    }
+    exec(compile("\n    ".join(src), f"<generated {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _compile_integrand(name: str, integrand) -> Callable[[float, object], float]:
+    head, node, value = integrand
+    src = [f"def {name}(v, arg):", head, *(s.format(v="v") for s in node), f"return {value}"]
+    return _define(name, src)
+
+
+_wedge_f = _compile_integrand("_wedge_f", _ARC)
+_sinh_wedge_f = _compile_integrand("_sinh_wedge_f", _SINH_ARC)
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float):
@@ -149,54 +179,66 @@ def _panel(f: Callable[[float], float], lo: float, hi: float):
 _GK_TABLE = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
 
 
-def wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):
+def _compile_panel(
+    name: str, integrand, sign: str, doc: str
+) -> Callable[[object, float, float], tuple[float, float]]:
+    # def name(arg, lo, hi): the operations of _panel(f, lo, hi) from
+    # _GK_TABLE, with f the integrand written out at each of the 15 nodes
+    # and the weights as literals (repr round-trips each float), so the
+    # results are bit-identical without two Python calls per node; sign
+    # "-" negates both estimates on return.  The panel's own names (mid,
+    # half, d, kron, gauss, fc, fp, fm) are not an integrand's.
+    head, node, value = integrand
+    src = [f"def {name}(arg, lo, hi):", head, "mid = 0.5 * (lo + hi)", "half = 0.5 * (hi - lo)"]
+
+    def at(v: str, out: str) -> None:
+        src.extend(s.format(v=v) for s in node)
+        src.append(f"{out} = {value}")
+
+    at("mid", "fc")
+    src += [f"kron = {_WGK_C!r} * fc", f"gauss = {_WG_C!r} * fc"]
+    for x, wk, wg in _GK_TABLE:
+        src.append(f"d = half * {x!r}")
+        at("(mid + d)", "fp")
+        at("(mid - d)", "fm")
+        src.append(f"kron += {wk!r} * (fp + fm)")
+        if wg:
+            src.append(f"gauss += {wg!r} * (fp + fm)")
+    src.append(f"return {sign}(kron * half), {sign}(gauss * half)")
+    panel = _define(name, src)
+    panel.__doc__ = doc
+    return panel
+
+
+wedge_panel = _compile_panel(
+    "wedge_panel",
+    _ARC,
+    "",
     """15- and 7-point estimates of the integral of
     (1 - a cos beta)(log s^2 - 1) over [lo, hi] in the arc angle beta,
-    arg = (-x, x^2, 2a, 4a) with x = a - 1."""
-    return _panel(lambda b: _wedge_f(b, arg), lo, hi)
-
-
-def sinh_wedge_panel(arg: tuple[float, float, float, float], lo: float, hi: float):
+    arg = (-x, x^2, 2a, 4a) with x = a - 1.""",
+)
+sinh_wedge_panel = _compile_panel(
+    "sinh_wedge_panel",
+    _SINH_ARC,
+    "",
     """15- and 7-point estimates of the integral over [lo, hi] in v of the
     arc integrand with sin(beta/2) = k sinh(v), k^2 = x^2/(4a), less its
-    factor 2k, arg = (-x, x^2/2, log x^2 - 1, k^2) with x = a - 1 != 0.
-
-    ``_panel(lambda v: _sinh_wedge_f(v, arg), lo, hi)`` with the integrand
-    written out at each node, in the same operation order: the results are
-    bit-identical, without two Python calls per node.
-    """
-    sinh = math.sinh
-    log1p = math.log1p
-    sqrt = math.sqrt
-    nx, hx2, lx, k2 = arg
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    s = sinh(c)
-    t = s * s
-    fc = (nx + hx2 * t) * (lx + log1p(t)) * sqrt((1.0 + t) / (1.0 - k2 * t))
-    k = _WGK_C * fc
-    g = _WG_C * fc
-    for x, wk, wg in _GK_TABLE:
-        dx = h * x
-        s = sinh(c + dx)
-        t = s * s
-        fp = (nx + hx2 * t) * (lx + log1p(t)) * sqrt((1.0 + t) / (1.0 - k2 * t))
-        s = sinh(c - dx)
-        t = s * s
-        fm = (nx + hx2 * t) * (lx + log1p(t)) * sqrt((1.0 + t) / (1.0 - k2 * t))
-        k += wk * (fp + fm)
-        if wg:
-            g += wg * (fp + fm)
-    return k * h, g * h
-
-
-def cos_log_panel(a: float, lo: float, hi: float):
+    factor 2k, arg = (-x, x^2/2, log x^2 - 1, k^2) with x = a - 1 != 0.""",
+)
+cos_log_panel = _compile_panel(
+    "cos_log_panel",
+    _ARC,
+    "-",
     """15- and 7-point estimates of the integral of
-    -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1) over [lo, hi]: the negated
-    ``wedge_panel`` at x = a - 1, whose 1 - a*cos u = (1 - a) + 2a*sin^2(u/2)
-    does not cancel near a = 1."""
-    k, g = wedge_panel((1.0 - a, (1.0 - a) * (1.0 - a), 2.0 * a, 4.0 * a), lo, hi)
-    return -k, -g
+    -(1 - a*cos u)*(log(1+a^2-2a*cos u) - 1) over [lo, hi]: ``wedge_panel``
+    on the same arg = (1 - a, (1 - a)^2, 2a, 4a), negated.  Its
+    1 - a*cos u = (1 - a) + 2a*sin^2(u/2) does not cancel near a = 1.""",
+)
+
+
+# QuadResult(*fields) without the named tuple's Python-level __new__
+_tuple_new = tuple.__new__
 
 
 class QuadResult(NamedTuple):
@@ -225,8 +267,7 @@ def _run_adaptive(
     budget: int,
 ) -> tuple[float, float, int, bool]:
     # (value, error estimate, subdivisions, converged) of the integral of
-    # panel(arg, .) over [lo, hi].  Keys (-e, seq) are unique: pops ignore
-    # how the heap was built.
+    # panel(arg, .) over [lo, hi]
     if hi <= lo:
         return 0.0, 0.0, 1, True
     total, g = panel(arg, lo, hi)
@@ -234,6 +275,22 @@ def _run_adaptive(
     if err <= tol:
         # the first panel converged: nothing to bisect
         return total, err, 1, True
+    return _bisect(panel, arg, lo, hi, total, err, tol, budget)
+
+
+def _bisect(
+    panel: Callable[[object, float, float], tuple[float, float]],
+    arg: object,
+    lo: float,
+    hi: float,
+    total: float,
+    err: float,
+    tol: float,
+    budget: int,
+) -> tuple[float, float, int, bool]:
+    # _run_adaptive's result from the first panel's estimate total and error
+    # err over [lo, hi], which it does not evaluate again.  Keys (-e, seq)
+    # are unique: pops ignore how the heap was built.
     heap: list[tuple[float, int, float, float, float]] = [(-err, 0, lo, hi, total)]
     count = seq = 1
     while err > tol and count < budget:
@@ -291,7 +348,9 @@ def _arc_wedge(a: float, x: float, e: float, tol: float, budget: int):
     # x = a - 1; sin^2(beta_V/2) = h_V is clamped at 0 for a within a
     # rounding slack outside the band.  For x != 0 it is taken in v,
     # sin(beta/2) = k sinh(v): the panels leave out the factor 2k, so
-    # value and error are scaled by 2k and the tolerance by 1/(2k).
+    # value and error are scaled by 2k and the tolerance by 1/(2k).  That
+    # route, the oracle's, evaluates its first panel here and bisects only
+    # when it fails.
     h = (e + x) * (e - x) / (4.0 * a)
     if x == 0.0:
         end = 2.0 * math.asin(math.sqrt(h)) if h > 0.0 else 0.0
@@ -301,8 +360,13 @@ def _arc_wedge(a: float, x: float, e: float, tol: float, budget: int):
     two_k = 2.0 * math.sqrt(k2)
     end = math.asinh(math.sqrt(h / k2)) if h > 0.0 else 0.0
     arg = (-x, 0.5 * x2, math.log(x2) - 1.0, k2)
-    value, err, count, converged = _run_adaptive(
-        sinh_wedge_panel, arg, 0.0, end, tol / two_k, budget
+    tol /= two_k
+    value, g = sinh_wedge_panel(arg, 0.0, end)
+    err = abs(value - g)
+    if err <= tol:
+        return two_k * value, two_k * err, 1, True
+    value, err, count, converged = _bisect(
+        sinh_wedge_panel, arg, 0.0, end, value, err, tol, budget
     )
     return two_k * value, two_k * err, count, converged
 
@@ -328,17 +392,18 @@ def quad_lune(q: OverlapQuery, tol: float = 1e-12, budget: int = DEFAULT_BUDGET)
     e2 = e * e
     # the nested and outside regimes of classify_regime
     if x <= -e:
-        return QuadResult(0.25 * e2 * (math.log(e2) - 1.0), 0.0, 1)
+        return _tuple_new(QuadResult, (0.25 * e2 * (math.log(e2) - 1.0), 0.0, 1, True))
     if x >= e:
-        return QuadResult(0.0, 0.0, 1)
-    # inside the open band, so no band check is needed
-    phi = _band_angle(x, e)
+        return _tuple_new(QuadResult, (0.0, 0.0, 1, True))
+    # inside the open band: geometry's _band_angle with no factor to clamp
+    root = math.sqrt((2.0 + x - e) * (2.0 + x + e) * (x + e) * (e - x))
+    phi = math.atan2(root, -(x * (2.0 + x) + e2))
     sector = (PI - phi) * e2 * (math.log(e2) - 1.0) / (4.0 * PI)
     value, err, count, converged = _arc_wedge(a, x, e, 0.5 * tol * EIGHT_PI, budget)
     value = sector + 2.0 * (value / EIGHT_PI)
     err = 2.0 * (err / EIGHT_PI)
     if converged:
-        return QuadResult(value, err, count)
+        return _tuple_new(QuadResult, (value, err, count, True))
     return _result(value, err, count, converged, tol)
 
 
@@ -352,7 +417,8 @@ def quad_cos_log(
         raise DomainError(f"modulus must lie in (0, 1], got {a}")
     if not 0.0 <= phi <= PI + 1e-12:
         raise DomainError(f"angle {phi} outside [0, pi]")
-    value, err, count, converged = _run_adaptive(cos_log_panel, a, 0.0, phi, tol, budget)
+    arg = (1.0 - a, (1.0 - a) * (1.0 - a), 2.0 * a, 4.0 * a)
+    value, err, count, converged = _run_adaptive(cos_log_panel, arg, 0.0, phi, tol, budget)
     return _result(value, err, count, converged, tol)
 
 

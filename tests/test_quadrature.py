@@ -90,9 +90,46 @@ def _arc_arg(a):
     return (-x, x * x, 2.0 * a, 4.0 * a)
 
 
+def _arc_ref(beta, arg):
+    # the arc integrand written out here, apart from the module's source
+    nx, x2, a2, a4 = arg
+    s = math.sin(0.5 * beta)
+    h = s * s
+    t = x2 + a4 * h
+    return 0.0 if t < 1e-300 else (nx + a2 * h) * (math.log(t) - 1.0)
+
+
+def _sinh_arc_ref(v, arg):
+    nx, hx2, lx, k2 = arg
+    s = math.sinh(v)
+    t = s * s
+    return (nx + hx2 * t) * (lx + math.log1p(t)) * math.sqrt((1.0 + t) / (1.0 - k2 * t))
+
+
+class TestIntegrands:
+    # the panels and their loop-panel references share each integrand's
+    # source; these references do not, so the integrand itself is checked
+
+    @given(a=st.floats(min_value=0.0, max_value=2.0), u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_arc(self, a, u):
+        arg = _arc_arg(a)
+        assert kern._wedge_f(PI * u, arg) == _arc_ref(PI * u, arg)
+
+    @given(
+        a=st.floats(min_value=1e-3, max_value=1.999).filter(lambda a: a != 1.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sinh_arc(self, a, u):
+        arg, end = _sinh_arg(a, 1.0)
+        assert kern._sinh_wedge_f(end * u, arg) == _sinh_arc_ref(end * u, arg)
+
+
 class TestWedgePanel:
-    # wedge_panel writes the arc integrand _wedge_f out inline; it must
-    # stay bit-identical to the generic panel over _wedge_f
+    # wedge_panel and cos_log_panel are written out straight-line from the
+    # GK template and the arc integrand; they must stay bit-identical to
+    # the loop panel over _wedge_f, cos_log_panel negated
 
     @given(
         a=st.floats(min_value=0.0, max_value=2.0),
@@ -106,6 +143,18 @@ class TestWedgePanel:
         arg = _arc_arg(a)
         lo, hi = PI * u, PI * v
         assert kern.wedge_panel(arg, lo, hi) == kern._panel(lambda b: kern._wedge_f(b, arg), lo, hi)
+
+    @given(
+        a=st.floats(min_value=0.0, max_value=2.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        v=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_cos_log_panel_negates_generic_panel(self, a, u, v):
+        arg = _arc_arg(a)
+        lo, hi = PI * u, PI * v
+        k, g = kern._panel(lambda b: kern._wedge_f(b, arg), lo, hi)
+        assert kern.cos_log_panel(arg, lo, hi) == (-k, -g)
 
     @pytest.mark.parametrize(
         "lo,hi", [(0.25 * PI, 0.5 * PI), (1.0, 0.5 * PI + 0.3), (0.0, 1e-3), (0.0, PI)]
@@ -139,8 +188,9 @@ def _sinh_arg(a, e):
 
 
 class TestSinhWedgePanel:
-    # sinh_wedge_panel writes the integrand in v, _sinh_wedge_f, out
-    # inline; it must stay bit-identical to the generic panel over it
+    # sinh_wedge_panel is written out straight-line from the GK template
+    # and the integrand in v; it must stay bit-identical to the loop panel
+    # over _sinh_wedge_f
 
     @given(
         a=st.floats(min_value=1e-3, max_value=1.999).filter(lambda a: a != 1.0),
@@ -205,39 +255,40 @@ class TestAgainstMpmath:
         assert off == []
 
 
+# TestGolden's pinned rows, also counted by TestPanelsEvaluatedOnce
+_GOLDEN = [
+    (quad_lune, 0.95, 0.1, {},
+     QuadResult(-0.01145619629606219, 3.761721678010932e-17, 1, True)),
+    (quad_lune, 1.0, 0.1, {},
+     QuadResult(-0.006866589699114388, 3.0741222029514897e-13, 4, True)),
+    (quad_lune, 1.003, 0.1, {},
+     QuadResult(-0.006554032568462884, 5.710151392196817e-14, 2, True)),
+    (quad_lune, 1.05, 0.1, {},
+     QuadResult(-0.002383853192955028, 3.5781110317990964e-16, 1, True)),
+    (quad_lune, 0.9997, 0.001, {},
+     QuadResult(-2.5756492839743243e-06, 2.922283094632192e-18, 1, True)),
+    (quad_lune, 0.8, 0.5, {},
+     QuadResult(-0.11306506237377453, 9.719646514340403e-16, 2, True)),
+    (quad_lune, 1.003, 0.1, {"budget": 1},
+     QuadResult(-0.006554032568462884, 1.0776671898471623e-11, 1, False)),
+    (quad_wedge, 0.97, 0.05, {},
+     QuadResult(-0.0003716444965633206, 9.553535163181051e-18, 1, True)),
+    (quad_wedge, 1.02, 0.05, {},
+     QuadResult(0.0002834258645815173, 6.369294220379091e-16, 1, True)),
+    (quad_wedge, 1.003, 0.1, {"budget": 1},
+     QuadResult(4.8041094922195554e-05, 5.388335949235811e-12, 1, False)),
+    (quad_wedge, 1.0, 0.1, {"budget": 2},
+     QuadResult(-4.162131645513698e-05, 9.837163017700625e-12, 2, False)),
+]
+
+
 class TestGolden:
     # pinned QuadResults: a change to the panels or to the adaptive
     # driver's set-up must leave every field bit-identical.  Every band
     # point starts from one interval, in v off the unit distance and in the
     # arc angle at it; the three budget rows stop short of convergence,
     # the last one on the arc-angle route.
-    @pytest.mark.parametrize(
-        "fn,a,e,kwargs,want",
-        [
-            (quad_lune, 0.95, 0.1, {},
-             QuadResult(-0.01145619629606219, 3.761721678010932e-17, 1, True)),
-            (quad_lune, 1.0, 0.1, {},
-             QuadResult(-0.006866589699114388, 3.0741222029514897e-13, 4, True)),
-            (quad_lune, 1.003, 0.1, {},
-             QuadResult(-0.006554032568462884, 5.710151392196817e-14, 2, True)),
-            (quad_lune, 1.05, 0.1, {},
-             QuadResult(-0.002383853192955028, 3.5781110317990964e-16, 1, True)),
-            (quad_lune, 0.9997, 0.001, {},
-             QuadResult(-2.5756492839743243e-06, 2.922283094632192e-18, 1, True)),
-            (quad_lune, 0.8, 0.5, {},
-             QuadResult(-0.11306506237377453, 9.719646514340403e-16, 2, True)),
-            (quad_lune, 1.003, 0.1, {"budget": 1},
-             QuadResult(-0.006554032568462884, 1.0776671898471623e-11, 1, False)),
-            (quad_wedge, 0.97, 0.05, {},
-             QuadResult(-0.0003716444965633206, 9.553535163181051e-18, 1, True)),
-            (quad_wedge, 1.02, 0.05, {},
-             QuadResult(0.0002834258645815173, 6.369294220379091e-16, 1, True)),
-            (quad_wedge, 1.003, 0.1, {"budget": 1},
-             QuadResult(4.8041094922195554e-05, 5.388335949235811e-12, 1, False)),
-            (quad_wedge, 1.0, 0.1, {"budget": 2},
-             QuadResult(-4.162131645513698e-05, 9.837163017700625e-12, 2, False)),
-        ],
-    )
+    @pytest.mark.parametrize("fn,a,e,kwargs,want", _GOLDEN)
     def test_lune_and_wedge(self, fn, a, e, kwargs, want):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureWarning)
@@ -255,6 +306,40 @@ class TestGolden:
         assert adaptive_quad(math.exp, 0.0, 1.0, 1e-13) == QuadResult(
             1.718281828459045, 0.0, 1, True
         )
+
+
+class TestPanelsEvaluatedOnce:
+    # the route in v evaluates its first panel itself and hands its
+    # estimates to the bisection driver: no panel is evaluated twice, so a
+    # final partition of n intervals costs 2n - 1 panels, converged or
+    # stopped by the budget.  cos_log_panel calls no other panel.
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {}
+        for name in ("sinh_wedge_panel", "wedge_panel", "cos_log_panel"):
+
+            def counted(arg, lo, hi, name=name, panel=getattr(kern, name)):
+                counts[name] = counts.get(name, 0) + 1
+                return panel(arg, lo, hi)
+
+            monkeypatch.setattr(kern, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("fn,a,e,kwargs,want", _GOLDEN)
+    def test_golden_rows(self, counts, fn, a, e, kwargs, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            res = fn(OverlapQuery(a, e), **kwargs)
+        assert res == want
+        route = "wedge_panel" if a == 1.0 else "sinh_wedge_panel"
+        assert counts == {route: 2 * res.subdivisions - 1}
+
+    @pytest.mark.parametrize("a,phi", [(0.7, 2.0), (1.0, 0.5)])
+    def test_cos_log(self, counts, a, phi):
+        res = quad_cos_log(a, phi)
+        assert res.subdivisions > 1
+        assert counts == {"cos_log_panel": 2 * res.subdivisions - 1}
 
 
 class TestWarningSite:
@@ -386,6 +471,30 @@ class TestQuadResultRecord:
         value, err, count, converged = res
         assert (value, err, count, converged) == (-0.5, 1e-13, 2, True)
         assert res == (-0.5, 1e-13, 2, True)
+
+    @pytest.mark.parametrize(
+        "a,e,kwargs",
+        [
+            (0.2, 0.5, {}),
+            (1.6, 0.5, {}),
+            (0.95, 0.1, {}),
+            (1.003, 0.1, {}),
+            (1.0, 0.1, {}),
+            (1.003, 0.1, {"budget": 1}),
+        ],
+        ids=["nested", "outside", "first-panel", "bisected", "unit-distance", "budget"],
+    )
+    def test_every_route_returns_the_record(self, a, e, kwargs):
+        # quad_lune builds its results with tuple.__new__, which neither
+        # checks the field count nor fills the default of converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            res = quad_lune(OverlapQuery(a, e), **kwargs)
+        assert type(res) is QuadResult
+        assert res._fields == ("value", "err_estimate", "subdivisions", "converged")
+        value, err, count, converged = res
+        assert res == (value, err, count, converged)
+        assert converged is ("budget" not in kwargs)
 
     @pytest.mark.parametrize("budget", [0, 1])
     def test_budget_at_initial_intervals(self, budget):
